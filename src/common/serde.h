@@ -142,6 +142,9 @@ class ByteReader {
  private:
   Status GetFixed(void* out, size_t n) {
     if (pos_ + n > len_) return Status::Corruption("fixed: truncated buffer");
+    // An empty destination (an empty vector's data()) may be null, and
+    // memcpy's pointers must be valid even for zero bytes.
+    if (n == 0) return Status::OK();
     std::memcpy(out, data_ + pos_, n);
     pos_ += n;
     return Status::OK();

@@ -4,14 +4,16 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <thread>
 
 namespace streamlib::platform {
 
 /// Injectable time source for everything in the engine that compares "now"
 /// against a deadline or stamps a timestamp: epoch-alignment timeouts, the
 /// acker's ack-timeout scan, end-to-end latency samples, and trace
-/// timestamps. Production runs use the process steady clock; tests inject
-/// a ManualClock so timeout paths fire deterministically instead of
+/// timestamps — and the one place injected delays and stalls sleep.
+/// Production runs use the process steady clock; tests and the replayer
+/// inject a ManualClock so timeout paths fire deterministically instead of
 /// depending on wall time on a loaded host.
 ///
 /// Implementations must be monotone (reads never decrease) and thread-safe
@@ -23,6 +25,10 @@ class Clock {
   /// Nanoseconds on this clock's monotone timeline. The absolute origin is
   /// implementation-defined; only differences are meaningful.
   virtual uint64_t NowNanos() = 0;
+
+  /// Holds the calling thread for `micros` of this clock's time (injected
+  /// transport delays, queue stalls, barrier delays).
+  virtual void SleepMicros(uint32_t micros) = 0;
 
   /// Process-wide steady_clock-backed instance — the default time source.
   static Clock* Steady();
@@ -37,6 +43,9 @@ inline Clock* Clock::Steady() {
               std::chrono::steady_clock::now().time_since_epoch())
               .count());
     }
+    void SleepMicros(uint32_t micros) override {
+      std::this_thread::sleep_for(std::chrono::microseconds(micros));
+    }
   };
   static SteadyClock instance;
   return &instance;
@@ -48,7 +57,8 @@ inline Clock* Clock::Steady() {
 ///    time forward, so engine-internal deadline checks (which a test cannot
 ///    reach between) still make progress deterministically — each check
 ///    costs a fixed amount of virtual time, independent of host load.
-/// All operations are atomic; reads are monotone by construction.
+/// Sleeps return at once without advancing time. All operations are
+/// atomic; reads are monotone by construction.
 class ManualClock : public Clock {
  public:
   explicit ManualClock(uint64_t start_nanos = 1,
@@ -62,6 +72,8 @@ class ManualClock : public Clock {
     return now_.fetch_add(advance_per_read_, std::memory_order_relaxed) +
            advance_per_read_;
   }
+
+  void SleepMicros(uint32_t) override {}
 
   /// Steps time forward by `delta_nanos`.
   void AdvanceNanos(uint64_t delta_nanos) {

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/random.h"
 #include "platform/checkpoint.h"
 #include "platform/clock.h"
@@ -21,11 +22,6 @@ namespace {
 /// run length; overflow overwrites oldest events (counted, and affected
 /// trees are marked incomplete rather than silently miswired).
 constexpr size_t kTraceRingCapacity = 4096;
-
-/// Injected delays and stalls (0 = none).
-void SleepMicros(uint32_t micros) {
-  if (micros > 0) std::this_thread::sleep_for(std::chrono::microseconds(micros));
-}
 
 }  // namespace
 
@@ -69,9 +65,9 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "epoch_align_timeout_seconds must be positive and finite");
   }
-  // Recording captures spout emissions only; barrier schedules and restored
-  // state are outside the recording's determinism envelope, so a replay
-  // could not reproduce the run. Reject the combination up front.
+  // Recording captures spout emissions only: neither barrier alignment
+  // timing nor restored spout state is in the file, so a replay could not
+  // reproduce the run. Reject the combination up front.
   if (recorder != nullptr &&
       (epoch_interval_tuples > 0 || resume_from_epoch > 0)) {
     return Status::InvalidArgument(
@@ -201,6 +197,111 @@ struct TopologyEngine::Edge {
   bool fused = false;
 };
 
+void TopologyEngine::Route(const Edge& edge, const Tuple& tuple, Rng& rng,
+                           std::vector<Task*>& out) {
+  switch (edge.grouping.kind) {
+    case GroupingKind::kBroadcast:
+      out.insert(out.end(), edge.targets.begin(), edge.targets.end());
+      break;
+    case GroupingKind::kShuffle:
+      out.push_back(edge.targets[rng.NextBounded(edge.targets.size())]);
+      break;
+    case GroupingKind::kFields: {
+      const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
+                                     kFieldsGroupingHashSeed);
+      out.push_back(edge.targets[h % edge.targets.size()]);
+      break;
+    }
+    case GroupingKind::kGlobal:
+      out.push_back(edge.targets[0]);
+      break;
+  }
+}
+
+/// The XOR ack ledger: one entry per open root, holding the XOR of the
+/// edge ids still outstanding in its tree. A root completes when its entry
+/// clears after the spout's kInit arrived. Both schedules drive it: the
+/// acker thread adds the wall-clock timeout scan, the drive mode fails
+/// whatever is still open once its tree has drained.
+class TopologyEngine::AckLedger {
+ public:
+  explicit AckLedger(TopologyEngine* engine) : engine_(engine) {}
+
+  /// Folds `events` in; returns the roots they completed.
+  size_t Apply(std::span<const AckerEvent> events) {
+    size_t resolved = 0;
+    for (const AckerEvent& event : events) {
+      RootEntry& entry = roots_[event.root_id];
+      entry.value ^= event.xor_value;
+      if (event.kind == AckerEvent::kInit) {
+        entry.initialized = true;
+        entry.spout_task = event.spout_task;
+        entry.created_nanos = engine_->NowNanos();
+      }
+      if (entry.initialized && entry.value == 0) {
+        Resolve(event.root_id, entry, /*success=*/true);
+        roots_.erase(event.root_id);
+        resolved++;
+      }
+    }
+    return resolved;
+  }
+
+  /// Fails every open root older than `timeout_nanos` at `now`.
+  size_t FailExpired(uint64_t now, uint64_t timeout_nanos) {
+    return FailWhere([&](const RootEntry& entry) {
+      return now - entry.created_nanos > timeout_nanos;
+    });
+  }
+
+  /// Fails every open root.
+  size_t FailAll() {
+    return FailWhere([](const RootEntry&) { return true; });
+  }
+
+ private:
+  struct RootEntry {
+    uint64_t value = 0;
+    size_t spout_task = 0;
+    bool initialized = false;
+    uint64_t created_nanos = 0;
+  };
+
+  template <typename Pred>
+  size_t FailWhere(Pred expired) {
+    size_t failed = 0;
+    for (auto it = roots_.begin(); it != roots_.end();) {
+      if (it->second.initialized && expired(it->second)) {
+        Resolve(it->first, it->second, /*success=*/false);
+        it = roots_.erase(it);
+        failed++;
+      } else {
+        ++it;
+      }
+    }
+    return failed;
+  }
+
+  /// The drive mode never opened its spouts, so there a resolved root
+  /// lands only on the spout task's metrics and the root counters.
+  void Resolve(uint64_t root, const RootEntry& entry, bool success) {
+    Task* spout_task = engine_->tasks_[entry.spout_task].get();
+    if (success) {
+      engine_->completed_roots_.fetch_add(1, std::memory_order_relaxed);
+      spout_task->metrics->IncAcked();
+      if (!engine_->stepped_) spout_task->spout->OnAck(root);
+    } else {
+      engine_->failed_roots_.fetch_add(1, std::memory_order_relaxed);
+      spout_task->metrics->IncFailed();
+      if (!engine_->stepped_) spout_task->spout->OnFail(root);
+    }
+    engine_->inflight_roots_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  TopologyEngine* engine_;
+  std::unordered_map<uint64_t, RootEntry> roots_;
+};
+
 /// Engine-side OutputCollector for one task: routes, anchors, applies
 /// backpressure, and accumulates the XOR of created edge ids.
 ///
@@ -322,24 +423,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     // Resolve this tuple's target task set across all outgoing edges.
     targets_scratch_.clear();
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (Task* target : edge.targets) targets_scratch_.push_back(target);
-          break;
-        case GroupingKind::kShuffle:
-          targets_scratch_.push_back(
-              edge.targets[rng_.NextBounded(edge.targets.size())]);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
-                                         kFieldsGroupingHashSeed);
-          targets_scratch_.push_back(edge.targets[h % edge.targets.size()]);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          targets_scratch_.push_back(edge.targets[0]);
-          break;
-      }
+      Route(edge, tuple, rng_, targets_scratch_);
     }
 
     uint64_t edge_xor = 0;
@@ -372,7 +456,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     FaultSite* faults = task_->barrier_faults.get();
     for (StagingSlot& slot : slots_) {
       if (faults != nullptr) {
-        SleepMicros(faults->BarrierDelayMicros());
+        engine_->SleepMicros(faults->BarrierDelayMicros());
         if (faults->FireBarrierDrop()) {
           // Marker lost toward this one target: its alignment on `epoch`
           // starves until the timeout force-advances past it. The staged
@@ -428,7 +512,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   uint64_t Stage(Task* target, Tuple&& tuple, uint64_t root,
                  uint64_t emit_time) {
     const TransportFate fate = DrawTransportFate(task_->transport_faults.get());
-    SleepMicros(fate.delay_micros);
+    engine_->SleepMicros(fate.delay_micros);
     if (fate.drop) {
       // Transport loss: allocate and anchor the edge id but never stage
       // the message — like a packet dropped after send. The ledger now
@@ -437,14 +521,9 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       // simply loses the tuple. Dropped deliveries never touch
       // pending_messages_ (counted at flush), so the drain protocol is
       // unaffected.
-      return root != 0 ? engine_->next_edge_id_.fetch_add(
-                             1, std::memory_order_relaxed)
-                       : 0;
+      return root != 0 ? engine_->NextEdgeId() : 0;
     }
-    const uint64_t edge_id =
-        root != 0
-            ? engine_->next_edge_id_.fetch_add(1, std::memory_order_relaxed)
-            : 0;
+    const uint64_t edge_id = root != 0 ? engine_->NextEdgeId() : 0;
     StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
     Message& message = slot.buffer.emplace_back();
     message.tuple = std::move(tuple);
@@ -465,10 +544,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       // accounting stays balanced while downstream genuinely sees the
       // tuple twice — the duplication at-least-once permits and the
       // MillWheel-style DedupLedger exists to suppress.
-      const uint64_t dup_edge =
-          root != 0
-              ? engine_->next_edge_id_.fetch_add(1, std::memory_order_relaxed)
-              : 0;
+      const uint64_t dup_edge = root != 0 ? engine_->NextEdgeId() : 0;
       Message dup = slot.buffer.back();  // Copy before any reallocation.
       dup.edge_id = dup_edge;
       slot.buffer.push_back(std::move(dup));
@@ -484,7 +560,8 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   /// falls back to unbounded buffering (multiplexed bolts, which must
   /// never block on a queue they may themselves drain — faithfully
   /// pre-backpressure Storm). The failed prefix stays in place: nothing is
-  /// re-copied on the stall path.
+  /// re-copied on the stall path. The drive mode's one thread is also the
+  /// consumer, so it always force-pushes and records the arrival order.
   void FlushSlot(StagingSlot& slot) {
     if (slot.buffer.empty()) return;
     Task* target = slot.target;
@@ -493,15 +570,22 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     // never drive pending_messages_ negative.
     engine_->pending_messages_.fetch_add(n, std::memory_order_acq_rel);
     std::span<Message> batch(slot.buffer);
-    size_t delivered = target->InTryPushAll(batch);
-    if (delivered < n) {
-      task_->metrics->IncBackpressureStalls();
-      std::span<Message> rest = batch.subspan(delivered);
-      if (engine_->config_.mode == ExecutionMode::kMultiplexed &&
-          task_->bolt != nullptr) {
-        delivered += target->InForcePushAll(rest);
-      } else {
-        delivered += target->InPushAll(rest);
+    size_t delivered;
+    if (engine_->stepped_) {
+      delivered = target->queue->ForcePushAll(batch);
+      engine_->step_order_.insert(engine_->step_order_.end(), delivered,
+                                  target->global_index);
+    } else {
+      delivered = target->InTryPushAll(batch);
+      if (delivered < n) {
+        task_->metrics->IncBackpressureStalls();
+        std::span<Message> rest = batch.subspan(delivered);
+        if (engine_->config_.mode == ExecutionMode::kMultiplexed &&
+            task_->bolt != nullptr) {
+          delivered += target->InForcePushAll(rest);
+        } else {
+          delivered += target->InPushAll(rest);
+        }
       }
     }
     if (delivered < n) {
@@ -539,6 +623,18 @@ TopologyEngine::TopologyEngine(Topology topology, EngineConfig config)
 TopologyEngine::~TopologyEngine() = default;
 
 uint64_t TopologyEngine::NowNanos() const { return clock_->NowNanos(); }
+
+void TopologyEngine::SleepMicros(uint32_t micros) const {
+  if (micros > 0) clock_->SleepMicros(micros);
+}
+
+/// Ledger edge ids pass through a 64-bit bijective mix: sequential ids XOR
+/// to zero on small sets (1 ^ 2 ^ 3 == 0 would ack a three-way broadcast
+/// whose deliveries were all dropped), distinct mixed ids only with
+/// probability about 2^-64.
+uint64_t TopologyEngine::NextEdgeId() {
+  return Mix64(next_edge_id_.fetch_add(1, std::memory_order_relaxed));
+}
 
 void TopologyEngine::BuildTasks() {
   const auto& components = topology_.components();
@@ -613,7 +709,7 @@ void TopologyEngine::BuildTasks() {
   // the dataflow IR, run the fusion pass, and wire each fused chain: the
   // chain head keeps its thread and routes emissions through DeliverFusedHop;
   // followers lose their input channel and thread — their bolts run inline
-  // on the head's thread, paired task i with task i (rule 7 guarantees
+  // on the head's thread, paired task i with task i (rule 6 guarantees
   // equal parallelism on every fused edge).
   plan_ = std::make_unique<TopologyPlan>(TopologyPlan::FromTopology(topology_));
   FusionOptions fusion_options;
@@ -622,12 +718,11 @@ void TopologyEngine::BuildTasks() {
   fusion_options.tracked = TracksTuples(config_.semantics);
   fusion_options.epochs_enabled =
       config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
-  fusion_options.recorder_attached = config_.recorder != nullptr;
   plan_->RunFusionPass(fusion_options);
   fused_edges_ = plan_->fused_edge_count();
   for (const std::vector<size_t>& chain : plan_->chains()) {
     for (size_t i = 0; i + 1 < chain.size(); i++) {
-      // Rule 9: a fused producer has exactly one outgoing edge.
+      // Rule 8: a fused producer has exactly one outgoing edge.
       outgoing_[chain[i]][0].fused = true;
     }
     const uint32_t chain_parallelism = components[chain[0]].parallelism;
@@ -643,7 +738,8 @@ void TopologyEngine::BuildTasks() {
 
   // Input channels: a bolt task whose input has exactly one producer task
   // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
-  // single threads there); everything else gets the MPMC blocking queue.
+  // single threads there); everything else, and every queue of the
+  // single-threaded drive mode, gets the MPMC blocking queue.
   for (auto& task : tasks_) {
     if (task->bolt == nullptr) continue;
     // Fused followers have no input channel at all: their tuples arrive as
@@ -651,7 +747,7 @@ void TopologyEngine::BuildTasks() {
     // queue-stall site — the fused analogue of a stall is simply the head
     // thread running the stage.)
     if (task->fused_follower) continue;
-    const bool spsc = config_.enable_spsc &&
+    const bool spsc = !stepped_ && config_.enable_spsc &&
                       config_.mode == ExecutionMode::kDedicated &&
                       producer_tasks[task->component_index] == 1;
     if (spsc) {
@@ -678,7 +774,7 @@ void TopologyEngine::BuildTasks() {
       task->stall_faults =
           fault_plan_->MakeSite(task->global_index * 4 + 2, task->metrics);
       Task* t = task.get();
-      auto stall = [t](size_t drained) {
+      auto stall = [this, t](size_t drained) {
         for (size_t i = 0; i < drained; i++) {
           SleepMicros(t->stall_faults->QueueStallMicros());
         }
@@ -692,6 +788,10 @@ void TopologyEngine::BuildTasks() {
   }
 
   for (auto& task : tasks_) task->collector->InitStaging();
+  if (TracksTuples(config_.semantics)) {
+    acker_queue_ = std::make_unique<BlockingQueue<AckerEvent>>(1 << 16);
+    ack_ledger_ = std::make_unique<AckLedger>(this);
+  }
   metrics_.Freeze();
   telemetry_.Bind(&metrics_, config_.telemetry_sample_interval_ms,
                   config_.trace_sample_every);
@@ -861,10 +961,7 @@ class TopologyEngine::HopChannel : public OutputCollector {
       return;
     }
     if (ran) *chain_xor_ ^= xor_out;
-    if (!acked && message.root_id != 0) {
-      *chain_xor_ ^=
-          engine_->next_edge_id_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (!acked && message.root_id != 0) *chain_xor_ ^= engine_->NextEdgeId();
   }
 
  private:
@@ -1054,9 +1151,7 @@ void TopologyEngine::DeliverFusedHop(Task* head, size_t stage, Tuple tuple,
       DrawTransportFate(producer->transport_faults.get());
   SleepMicros(fate.delay_micros);
   if (fate.drop) {
-    if (root != 0) {
-      *chain_xor ^= next_edge_id_.fetch_add(1, std::memory_order_relaxed);
-    }
+    if (root != 0) *chain_xor ^= NextEdgeId();
     return;
   }
   Message message;
@@ -1383,31 +1478,9 @@ void TopologyEngine::MultiplexedWorkerLoop(const std::vector<Task*>& tasks) {
 }
 
 void TopologyEngine::AckerLoop() {
-  struct RootEntry {
-    uint64_t value = 0;
-    size_t spout_task = 0;
-    bool initialized = false;
-    uint64_t created_nanos = 0;
-  };
-  std::unordered_map<uint64_t, RootEntry> ledger;
   const uint64_t timeout_nanos =
       static_cast<uint64_t>(config_.ack_timeout_seconds * 1e9);
   uint64_t last_scan = NowNanos();
-
-  auto resolve = [&](uint64_t root, RootEntry& entry, bool success) {
-    Task* spout_task = tasks_[entry.spout_task].get();
-    if (success) {
-      completed_roots_.fetch_add(1, std::memory_order_relaxed);
-      spout_task->metrics->IncAcked();
-      spout_task->spout->OnAck(root);
-    } else {
-      failed_roots_.fetch_add(1, std::memory_order_relaxed);
-      spout_task->metrics->IncFailed();
-      spout_task->spout->OnFail(root);
-    }
-    inflight_roots_.fetch_sub(1, std::memory_order_relaxed);
-  };
-
   std::vector<AckerEvent> events;
   events.reserve(1024);
   while (true) {
@@ -1417,49 +1490,19 @@ void TopologyEngine::AckerLoop() {
     const size_t n = acker_queue_->PopBatchWithTimeout(
         events, 1024, std::chrono::milliseconds(5));
     if (n == 0 && acker_queue_->Closed()) break;
-    bool resolved_any = false;
-    for (const AckerEvent& event : events) {
-      RootEntry& entry = ledger[event.root_id];
-      entry.value ^= event.xor_value;
-      if (event.kind == AckerEvent::kInit) {
-        entry.initialized = true;
-        entry.spout_task = event.spout_task;
-        entry.created_nanos = NowNanos();
-      }
-      if (entry.initialized && entry.value == 0) {
-        resolve(event.root_id, entry, /*success=*/true);
-        ledger.erase(event.root_id);
-        resolved_any = true;
-      }
-    }
+    size_t resolved = ack_ledger_->Apply(events);
     // Periodic timeout scan.
     const uint64_t now = NowNanos();
     if (now - last_scan > timeout_nanos / 4 + 1000000) {
       last_scan = now;
-      for (auto it = ledger.begin(); it != ledger.end();) {
-        if (it->second.initialized &&
-            now - it->second.created_nanos > timeout_nanos) {
-          resolve(it->first, it->second, /*success=*/false);
-          it = ledger.erase(it);
-          resolved_any = true;
-        } else {
-          ++it;
-        }
-      }
+      resolved += ack_ledger_->FailExpired(now, timeout_nanos);
     }
-    if (resolved_any) {
+    if (resolved > 0) {
       progress_cv_.notify_all();  // Throttled spouts / the drain wait.
     }
   }
   // Shutdown: anything left unresolved fails.
-  bool resolved_any = false;
-  for (auto& [root, entry] : ledger) {
-    if (entry.initialized) {
-      resolve(root, entry, /*success=*/false);
-      resolved_any = true;
-    }
-  }
-  if (resolved_any) progress_cv_.notify_all();
+  if (ack_ledger_->FailAll() > 0) progress_cv_.notify_all();
 }
 
 /// Synchronous collector used by the post-drain Finish() pass: emissions
@@ -1472,24 +1515,13 @@ class TopologyEngine::FinishCollector : public OutputCollector {
 
   void Emit(Tuple tuple) override {
     task_->metrics->IncEmitted();
+    std::vector<Task*> targets;
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (Task* target : edge.targets) Deliver(target, tuple);
-          break;
-        case GroupingKind::kShuffle:
-          Deliver(edge.targets[rng_.NextBounded(edge.targets.size())], tuple);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
-                                         kFieldsGroupingHashSeed);
-          Deliver(edge.targets[h % edge.targets.size()], tuple);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          Deliver(edge.targets[0], tuple);
-          break;
-      }
+      // Each edge's targets run before the next edge routes: a delivery's
+      // downstream seed and the next shuffle draw share rng_.
+      targets.clear();
+      Route(edge, tuple, rng_, targets);
+      for (Task* target : targets) Deliver(target, tuple);
     }
   }
 
@@ -1539,7 +1571,6 @@ void TopologyEngine::Run() {
   StartSampler();
 
   if (TracksTuples(config_.semantics)) {
-    acker_queue_ = std::make_unique<BlockingQueue<AckerEvent>>(1 << 16);
     acker_thread_ = std::thread([this] { AckerLoop(); });
   }
 
@@ -1623,23 +1654,67 @@ void TopologyEngine::Run() {
   // Attach the run's final counters to the recording so a replay can be
   // verified against the original from the file alone. The caller still
   // owns Finalize().
-  if (config_.recorder != nullptr) {
-    RunSummary summary;
-    summary.completed_roots =
-        completed_roots_.load(std::memory_order_relaxed);
-    summary.failed_roots = failed_roots_.load(std::memory_order_relaxed);
-    if (fault_plan_ != nullptr) {
-      summary.faults_by_kind = fault_plan_->Snapshot();
-    }
-    summary.tasks.reserve(metrics_.task_count());
-    for (size_t i = 0; i < metrics_.task_count(); i++) {
-      const TaskMetrics& m = metrics_.task(i);
-      summary.tasks.push_back(RunSummary::TaskCounters{
-          m.emitted(), m.executed(), m.acked(), m.failed(),
-          m.bolt_exceptions()});
-    }
-    config_.recorder->SetSummary(summary);
+  if (config_.recorder != nullptr) config_.recorder->SetSummary(Summary());
+}
+
+RunSummary TopologyEngine::Summary() const {
+  RunSummary summary;
+  summary.completed_roots = completed_roots();
+  summary.failed_roots = failed_roots();
+  if (fault_plan_ != nullptr) summary.faults_by_kind = fault_plan_->Snapshot();
+  summary.tasks.reserve(metrics_.task_count());
+  for (size_t i = 0; i < metrics_.task_count(); i++) {
+    const TaskMetrics& m = metrics_.task(i);
+    summary.tasks.push_back(RunSummary::TaskCounters{
+        m.emitted(), m.executed(), m.acked(), m.failed(),
+        m.bolt_exceptions()});
   }
+  return summary;
+}
+
+// ------------------------------------------------------------ drive mode
+
+void TopologyEngine::StepBuild() {
+  STREAMLIB_CHECK_MSG(!ran_, "TopologyEngine is single-use");
+  ran_ = true;
+  stepped_ = true;
+  BuildTasks();
+  for (const auto& task : tasks_) {
+    if (task->bolt == nullptr) continue;
+    task->bolt->Prepare(
+        task->task_index,
+        topology_.components()[task->component_index].parallelism);
+  }
+}
+
+void TopologyEngine::StepInject(size_t spout_task, const Tuple& tuple) {
+  TaskCollector* collector = tasks_[spout_task]->collector.get();
+  collector->Emit(tuple);
+  collector->FlushAll();
+  StepResolveAcks();
+}
+
+void TopologyEngine::StepExecute() {
+  Task* task = tasks_[step_order_.front()].get();
+  step_order_.pop_front();
+  std::vector<Message> batch;
+  task->queue->TryPopBatch(batch, 1);
+  ExecuteBatch(task, std::span<Message>(batch));
+  StepResolveAcks();
+}
+
+void TopologyEngine::StepResolveAcks() {
+  if (ack_ledger_ == nullptr) return;
+  std::vector<AckerEvent> events;
+  acker_queue_->TryPopBatch(events, SIZE_MAX);
+  ack_ledger_->Apply(events);
+  if (pending_messages_.load(std::memory_order_relaxed) == 0) {
+    ack_ledger_->FailAll();
+  }
+}
+
+Bolt* TopologyEngine::TaskBolt(size_t global_index) const {
+  return tasks_[global_index]->bolt.get();
 }
 
 }  // namespace streamlib::platform

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -23,6 +24,8 @@
 namespace streamlib::platform {
 
 class RunRecorder;
+class ReplayEngine;
+struct RunSummary;
 class KvCheckpointStore;
 class CheckpointCoordinator;
 class Clock;
@@ -201,6 +204,32 @@ class TopologyEngine {
   class FinishCollector;
   class HopChannel;
   struct AckerEvent;
+  class AckLedger;
+
+  // The single-threaded drive mode (replay.h): a deterministic schedule
+  // over the same tasks, collectors, hop executor and ack ledger Run()
+  // uses. Every queued bolt gets a BlockingQueue, every flush force-pushes
+  // (one thread produces and consumes) and appends its targets to
+  // step_order_, and deliveries run one message at a time in that order.
+  // Spouts are built but never opened or polled; emissions are injected.
+  friend class ReplayEngine;
+  void StepBuild();
+  void StepInject(size_t spout_task, const Tuple& tuple);
+  void StepExecute();
+  /// Applies the staged acker events; once nothing is queued, fails every
+  /// root still open (the drained tree can no longer clear its ledger).
+  void StepResolveAcks();
+  /// Null for spout tasks.
+  Bolt* TaskBolt(size_t global_index) const;
+
+  /// The run's final counters in the recording's shape.
+  RunSummary Summary() const;
+
+  /// The one routing function (run-phase and finish-pass emissions
+  /// alike): appends the tasks one emission of `tuple` reaches over
+  /// `edge`; shuffle draws from the emitting collector's `rng`.
+  static void Route(const Edge& edge, const Tuple& tuple, Rng& rng,
+                    std::vector<Task*>& out);
 
   void BuildTasks();
   void StartSampler();
@@ -217,6 +246,10 @@ class TopologyEngine {
 
   /// Injected time source (config.clock or the steady default).
   uint64_t NowNanos() const;
+  /// Injected delays and stalls (0 = none) sleep through the clock.
+  void SleepMicros(uint32_t micros) const;
+  /// Allocates one ack-ledger edge id.
+  uint64_t NextEdgeId();
 
   // Fused-chain execution (DESIGN.md §13): delivers `tuple` to stage
   // `stage` of `head`'s fused chain inline on the calling thread, XORing
@@ -271,9 +304,13 @@ class TopologyEngine {
   std::condition_variable progress_cv_;
 
   std::unique_ptr<BlockingQueue<AckerEvent>> acker_queue_;
+  std::unique_ptr<AckLedger> ack_ledger_;  // Tracked semantics only.
   std::thread acker_thread_;
   std::vector<std::thread> threads_;
   bool ran_ = false;
+
+  bool stepped_ = false;
+  std::deque<size_t> step_order_;  // Queued deliveries' target tasks.
 };
 
 }  // namespace streamlib::platform

@@ -213,7 +213,7 @@ class FaultSite {
 };
 
 /// The transport draw sequence every delivery channel shares (queued
-/// staging, fused hops, replay): delay → drop → duplicate, with no
+/// staging, fused hops): delay → drop → duplicate, with no
 /// duplicate draw after a drop. A null site (injection off) draws nothing;
 /// inline, so fault-free deliveries pay only that null check.
 inline TransportFate DrawTransportFate(FaultSite* site) {
@@ -226,7 +226,7 @@ inline TransportFate DrawTransportFate(FaultSite* site) {
 }
 
 /// The executor draw sequence every execute path shares (per-tuple,
-/// batched, fused, replay), made once per input message before it runs:
+/// batched, fused), made once per input message before it runs:
 /// throw → crash → acker-loss. A fired throw ends the draw (the message
 /// fails before its crash window); a fired crash skips the acker-loss draw
 /// (the ack dies with the process); the acker-loss draw is made only when

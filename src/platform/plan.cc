@@ -53,25 +53,18 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
     return Status::FailedPrecondition(
         "epoch barriers align on queued edges");
   }
-  // Rule 4: the flight recorder taps spout emissions in the queued Emit
-  // path and replays through a queued-shape topology; a fused spout chain
-  // would record a stream the replayer cannot reproduce.
-  if (options.recorder_attached && from.is_spout) {
-    return Status::FailedPrecondition(
-        "recorder-tapped spout: recordings replay through queued edges");
-  }
-  // Rule 5: fields grouping exists to partition keys across consumer
+  // Rule 4: fields grouping exists to partition keys across consumer
   // tasks; collapsing it in-thread would silently break stateful sharding.
   if (edge.grouping.kind == GroupingKind::kFields) {
     return Status::InvalidArgument(
         "fields grouping requires hash routing across shards");
   }
-  // Rule 6: broadcast needs one copy per consumer task — inherently a
+  // Rule 5: broadcast needs one copy per consumer task — inherently a
   // fan-out delivery, never a 1:1 inline call.
   if (edge.grouping.kind == GroupingKind::kBroadcast) {
     return Status::InvalidArgument("broadcast fans out to every shard");
   }
-  // Rule 7: parallelism compatibility. A fused shuffle pairs producer
+  // Rule 6: parallelism compatibility. A fused shuffle pairs producer
   // task i with consumer task i — a legal refinement of "uniform random
   // task" — which needs equal parallelism. Global demands one consumer
   // task fed by everything, so fusing needs a single producer task too.
@@ -86,14 +79,14 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
     return Status::InvalidArgument(
         "global grouping fuses only at parallelism 1");
   }
-  // Rule 8: a consumer with several inputs merges streams from distinct
+  // Rule 7: a consumer with several inputs merges streams from distinct
   // producer threads — it must stay queued so all producers can reach it.
   if (to.in_edges.size() != 1) {
     return Status::InvalidArgument("fan-in: consumer has " +
                                    std::to_string(to.in_edges.size()) +
                                    " input edges");
   }
-  // Rule 9: a producer with several output subscriptions routes each emit
+  // Rule 8: a producer with several output subscriptions routes each emit
   // to every one of them; fusing one arm would starve the others.
   if (from.out_edges.size() != 1) {
     return Status::InvalidArgument("fan-out: producer has " +
@@ -119,7 +112,7 @@ void TopologyPlan::RunFusionPass(const FusionOptions& options) {
   }
 
   // Group fused edges into maximal chains. A chain head is a node with a
-  // fused out-edge but no fused in-edge; rules 8/9 guarantee each node has
+  // fused out-edge but no fused in-edge; rules 7/8 guarantee each node has
   // at most one fused edge on each side, so chains are simple paths.
   chains_.clear();
   auto fused_out = [&](size_t node) -> const PlanEdge* {

@@ -24,7 +24,6 @@ struct FusionOptions {
   bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
   bool tracked = false;           ///< delivery semantics track tuples (acking on)
   bool epochs_enabled = false;    ///< barrier checkpointing active
-  bool recorder_attached = false; ///< flight recorder taps spout emissions
 };
 
 /// One component of the topology, as a plan node. `component_index` equals

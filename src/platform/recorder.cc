@@ -60,6 +60,7 @@ void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
   w.PutDouble(f.queue_stall_prob);
   w.PutVarint(f.queue_stall_micros);
   w.PutDouble(f.acker_loss_prob);
+  w.PutU8(c.enable_fusion ? 1 : 0);
 }
 
 Status DecodeConfig(ByteReader& r, EngineConfig* out) {
@@ -112,6 +113,9 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   f.queue_stall_micros = static_cast<uint32_t>(v);
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&f.acker_loss_prob));
+  uint8_t enable_fusion = 0;
+  STREAMLIB_RETURN_NOT_OK(r.GetU8(&enable_fusion));
+  out->enable_fusion = enable_fusion != 0;
   return Status::OK();
 }
 

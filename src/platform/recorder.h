@@ -30,7 +30,7 @@ namespace streamlib::platform {
 /// deterministically; the debugger CLI (tools/streamlib_debug.cc) steps
 /// through it.
 ///
-/// ## SLFR file format (version 2)
+/// ## SLFR file format (version 3)
 ///
 ///   file   := header segment*
 ///   header := u32 magic 'SLFR' | u32 version
@@ -52,9 +52,11 @@ namespace streamlib::platform {
 
 inline constexpr uint32_t kRecordingMagic = 0x52464c53u;  // "SLFR"
 /// Version 2 dropped version 1's bolt-batch flag byte from the meta
-/// config (batched delivery is no longer a knob); readers accept only the
-/// current version, so an older file is a typed InvalidArgument.
-inline constexpr uint32_t kRecordingVersion = 2;
+/// config (batched delivery is no longer a knob); version 3 appends the
+/// enable_fusion byte (replay runs the recorded plan, fused chains
+/// included). Readers accept only the current version, so an older file is
+/// a typed InvalidArgument.
+inline constexpr uint32_t kRecordingVersion = 3;
 
 /// Tuple wire codec shared by the recorder and replayer. One record is
 /// varint field-count then per field a u8 type tag (0 = null, 1 = bool,

@@ -4,193 +4,29 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/random.h"
-#include "platform/fault.h"
 
 namespace streamlib::platform {
 
-/// One parallel instance of a component inside the replayer. Mirrors the
-/// live engine's Task minus the threading surface: no queues (the
-/// replayer's global FIFO preserves per-producer delivery order, which is
-/// all the determinism contract needs), no spout instance (emissions come
-/// from the recording).
-struct ReplayEngine::RTask {
-  size_t global_index = 0;
-  size_t component_index = 0;
-  uint32_t task_index = 0;
-  bool is_spout = false;
-  std::unique_ptr<Bolt> bolt;  // Null for spout tasks.
-  std::unique_ptr<ReplayCollector> collector;
-  TaskMetrics* metrics = nullptr;
-  // Same site ids as the live engine (global_index * 4 + role), so each
-  // site's PRNG stream is byte-identical to the recorded run's.
-  std::unique_ptr<FaultSite> transport_faults;
-  std::unique_ptr<FaultSite> executor_faults;
-  std::unique_ptr<FaultSite> stall_faults;
-  uint64_t inputs_seen = 0;  // Tuples delivered (kTaskTuple breakpoints).
-};
+namespace {
 
-struct ReplayEngine::Edge {
-  Grouping grouping;
-  std::vector<RTask*> targets;
-};
+/// The recorded config as the drive mode runs it: virtual time, no
+/// sampler thread, no tracing, nothing recorded.
+EngineConfig SteppedConfig(EngineConfig config, Clock* clock) {
+  config.clock = clock;
+  config.telemetry_sample_interval_ms = 0;
+  config.trace_sample_every = 0;
+  config.recorder = nullptr;
+  return config;
+}
 
-/// One tuple in flight to a bolt task.
-struct ReplayEngine::Delivery {
-  RTask* target = nullptr;
-  Tuple tuple;
-  uint64_t root_id = 0;
-  uint64_t edge_id = 0;
-};
-
-/// Mirror of the live engine's TaskCollector: identical per-task RNG
-/// seeding, identical routing switch, and the shared transport draw
-/// (DrawTransportFate). Instead of staging into per-target buffers it
-/// appends to the replayer's FIFO; instead of sending acker events it
-/// folds XOR values into the synchronous root ledger.
-class ReplayEngine::ReplayCollector : public OutputCollector {
- public:
-  ReplayCollector(ReplayEngine* engine, RTask* task, uint64_t seed)
-      : engine_(engine), task_(task), rng_(seed) {}
-
-  void BeginExecute(uint64_t root_id) {
-    current_root_ = root_id;
-    xor_out_ = 0;
-  }
-  uint64_t EndExecute() { return xor_out_; }
-
-  uint64_t LastRootId() const override { return last_spout_root_; }
-
-  void Emit(Tuple tuple) override {
-    const bool from_spout = task_->is_spout;
-    const bool track =
-        engine_->run_.config.semantics == DeliverySemantics::kAtLeastOnce;
-    uint64_t root = current_root_;
-    if (from_spout && track) {
-      root = engine_->next_root_id_++;
-      last_spout_root_ = root;
-      xor_out_ = 0;
-    }
-
-    targets_scratch_.clear();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (RTask* target : edge.targets) {
-            targets_scratch_.push_back(target);
-          }
-          break;
-        case GroupingKind::kShuffle:
-          targets_scratch_.push_back(
-              edge.targets[rng_.NextBounded(edge.targets.size())]);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h =
-              HashOfValue(tuple.field(edge.grouping.field_index), 77);
-          targets_scratch_.push_back(edge.targets[h % edge.targets.size()]);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          targets_scratch_.push_back(edge.targets[0]);
-          break;
-      }
-    }
-
-    uint64_t edge_xor = 0;
-    for (size_t i = 0; i < targets_scratch_.size(); i++) {
-      const bool last = i + 1 == targets_scratch_.size();
-      edge_xor ^= Stage(targets_scratch_[i],
-                        last ? std::move(tuple) : Tuple(tuple), root);
-    }
-    task_->metrics->IncEmitted();
-
-    if (track) {
-      if (from_spout) {
-        engine_->InitRoot(root, edge_xor, task_->global_index);
-      } else if (root != 0) {
-        xor_out_ ^= edge_xor;
-      }
-    }
-  }
-
- private:
-  uint64_t Stage(RTask* target, Tuple&& tuple, uint64_t root) {
-    // The drawn delay is never slept: replay reproduces decisions, not
-    // wall-clock.
-    const TransportFate fate = DrawTransportFate(task_->transport_faults.get());
-    if (fate.drop) return root != 0 ? engine_->next_edge_id_++ : 0;
-    const uint64_t edge_id = root != 0 ? engine_->next_edge_id_++ : 0;
-    uint64_t edge_xor = edge_id;
-    Delivery delivery{target, std::move(tuple), root, edge_id};
-    if (fate.duplicate) {
-      const uint64_t dup_edge = root != 0 ? engine_->next_edge_id_++ : 0;
-      Delivery dup{target, delivery.tuple, root, dup_edge};
-      engine_->work_.push_back(std::move(delivery));
-      engine_->work_.push_back(std::move(dup));
-      edge_xor ^= dup_edge;
-    } else {
-      engine_->work_.push_back(std::move(delivery));
-    }
-    return edge_xor;
-  }
-
-  ReplayEngine* engine_;
-  RTask* task_;
-  Rng rng_;
-  std::vector<RTask*> targets_scratch_;
-  uint64_t current_root_ = 0;
-  uint64_t xor_out_ = 0;
-  uint64_t last_spout_root_ = 0;
-};
-
-/// Mirror of the live engine's FinishCollector, including the recursive
-/// reseeding (downstream collectors seeded from rng_.Next()) so finish-
-/// pass shuffle routing matches the original run draw for draw.
-class ReplayEngine::ReplayFinishCollector : public OutputCollector {
- public:
-  ReplayFinishCollector(ReplayEngine* engine, RTask* task, uint64_t seed)
-      : engine_(engine), task_(task), rng_(seed) {}
-
-  void Emit(Tuple tuple) override {
-    task_->metrics->IncEmitted();
-    for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      switch (edge.grouping.kind) {
-        case GroupingKind::kBroadcast:
-          for (RTask* target : edge.targets) Deliver(target, tuple);
-          break;
-        case GroupingKind::kShuffle:
-          Deliver(edge.targets[rng_.NextBounded(edge.targets.size())], tuple);
-          break;
-        case GroupingKind::kFields: {
-          const uint64_t h =
-              HashOfValue(tuple.field(edge.grouping.field_index), 77);
-          Deliver(edge.targets[h % edge.targets.size()], tuple);
-          break;
-        }
-        case GroupingKind::kGlobal:
-          Deliver(edge.targets[0], tuple);
-          break;
-      }
-    }
-  }
-
- private:
-  void Deliver(RTask* target, const Tuple& tuple) {
-    ReplayFinishCollector downstream(engine_, target, rng_.Next());
-    target->bolt->Execute(tuple, &downstream);
-    target->metrics->IncExecuted();
-  }
-
-  ReplayEngine* engine_;
-  RTask* task_;
-  Rng rng_;
-};
+}  // namespace
 
 ReplayEngine::ReplayEngine(Topology topology, RecordedRun run,
                            ReplayOptions options)
-    : topology_(std::move(topology)),
-      run_(std::move(run)),
-      options_(options) {}
+    : run_(std::move(run)),
+      options_(options),
+      engine_(std::make_unique<TopologyEngine>(
+          std::move(topology), SteppedConfig(run_.config, &clock_))) {}
 
 ReplayEngine::~ReplayEngine() = default;
 
@@ -198,73 +34,19 @@ Status ReplayEngine::Prepare() {
   if (prepared_) {
     return Status::FailedPrecondition("ReplayEngine::Prepare called twice");
   }
-  STREAMLIB_RETURN_NOT_OK(MatchesTopology(run_.fingerprint, topology_));
+  STREAMLIB_RETURN_NOT_OK(
+      MatchesTopology(run_.fingerprint, engine_->topology_));
   STREAMLIB_RETURN_NOT_OK(run_.config.Validate());
-
-  if (run_.config.faults.Enabled()) {
-    fault_plan_ = std::make_unique<FaultPlan>(run_.config.faults);
-  }
-
-  const auto& components = topology_.components();
-  std::vector<std::vector<RTask*>> tasks_by_component(components.size());
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    const ComponentSpec& spec = components[ci];
-    for (uint32_t ti = 0; ti < spec.parallelism; ti++) {
-      auto task = std::make_unique<RTask>();
-      task->global_index = tasks_.size();
-      task->component_index = ci;
-      task->task_index = ti;
-      task->is_spout = spec.is_spout;
-      task->metrics = &metrics_.RegisterTask(spec.name, ti);
-      if (!spec.is_spout) task->bolt = spec.bolt_factory();
-      if (fault_plan_ != nullptr) {
-        task->transport_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 0, task->metrics);
-        task->executor_faults =
-            fault_plan_->MakeSite(task->global_index * 4 + 1, task->metrics);
-        if (!spec.is_spout && run_.config.faults.queue_stall_prob > 0) {
-          task->stall_faults =
-              fault_plan_->MakeSite(task->global_index * 4 + 2, task->metrics);
-        }
-      }
-      task->collector = std::make_unique<ReplayCollector>(
-          this, task.get(),
-          run_.config.seed ^
-              (0x9e3779b97f4a7c15ULL * (task->global_index + 1)));
-      tasks_by_component[ci].push_back(task.get());
-      tasks_.push_back(std::move(task));
-    }
-  }
-
-  outgoing_.assign(components.size(), {});
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    for (const Subscription& sub : components[ci].inputs) {
-      const size_t source = topology_.IndexOf(sub.source);
-      Edge edge;
-      edge.grouping = sub.grouping;
-      edge.targets = tasks_by_component[ci];
-      outgoing_[source].push_back(std::move(edge));
-    }
-  }
-
-  metrics_.Freeze();
-
-  for (auto& task : tasks_) {
-    if (task->bolt != nullptr) {
-      task->bolt->Prepare(task->task_index,
-                          components[task->component_index].parallelism);
-    }
-  }
-
+  engine_->StepBuild();
+  inputs_seen_.assign(task_count(), 0);
   for (const RecordedEmission& emission : run_.emissions) {
-    if (emission.spout_task >= tasks_.size() ||
-        !tasks_[emission.spout_task]->is_spout) {
+    if (emission.spout_task >= task_count() ||
+        engine_->TaskBolt(emission.spout_task) != nullptr) {
       return Status::Corruption(
           "recording: emission references task " +
           std::to_string(emission.spout_task) + " which is not a spout task");
     }
   }
-
   prepared_ = true;
   return Status::OK();
 }
@@ -273,115 +55,32 @@ void ReplayEngine::AddBreakpoint(const Breakpoint& breakpoint) {
   breakpoints_.push_back(breakpoint);
 }
 
-void ReplayEngine::InitRoot(uint64_t root, uint64_t edge_xor,
-                            size_t spout_task) {
-  STREAMLIB_CHECK_MSG(!root_active_,
-                      "replay: a new root opened before the previous tree "
-                      "drained");
-  root_active_ = true;
-  root_id_ = root;
-  root_value_ = edge_xor;
-  root_spout_task_ = spout_task;
-}
-
-void ReplayEngine::ApplyAck(uint64_t root, uint64_t xor_value) {
-  if (root_active_ && root == root_id_) root_value_ ^= xor_value;
-}
-
-void ReplayEngine::MaybeResolveRoot() {
-  if (!root_active_ || !work_.empty()) return;
-  RTask* spout_task = tasks_[root_spout_task_].get();
-  if (root_value_ == 0) {
-    completed_roots_++;
-    spout_task->metrics->IncAcked();
-  } else {
-    failed_roots_++;
-    spout_task->metrics->IncFailed();
-  }
-  root_active_ = false;
-}
-
-void ReplayEngine::RestartBolt(RTask* task) {
-  const ComponentSpec& spec = topology_.components()[task->component_index];
-  task->bolt = spec.bolt_factory();
-  task->bolt->Prepare(task->task_index, spec.parallelism);
-}
-
-void ReplayEngine::EmitNext() {
-  const RecordedEmission& emission = run_.emissions[next_emission_];
-  next_emission_++;
-  RTask* task = tasks_[emission.spout_task].get();
-  task->collector->Emit(emission.tuple);
-}
-
-void ReplayEngine::ExecuteDelivery(Delivery& delivery) {
-  RTask* task = delivery.target;
-  task->inputs_seen++;
-  // The live engine draws one stall decision per drained message on the
-  // consumer; same stream position here, no sleep.
-  if (task->stall_faults != nullptr) task->stall_faults->QueueStallMicros();
-  // The live executor's draw, made before the tuple runs; root_id != 0
-  // only under at-least-once, exactly when a live ack would be staged.
-  const ExecutorFate fate = DrawExecutorFate(task->executor_faults.get(),
-                                             delivery.root_id != 0);
-  ReplayCollector* collector = task->collector.get();
-  collector->BeginExecute(delivery.root_id);
-  bool ok = true;
-  try {
-    if (fate.fail) throw InjectedBoltError("injected bolt failure");
-    task->bolt->Execute(delivery.tuple, collector);
-  } catch (...) {
-    ok = false;
-    task->metrics->IncBoltExceptions();
-  }
-  const uint64_t xor_out = collector->EndExecute();
-  if (ok) {
-    task->metrics->IncExecuted();
-    // A crash swallows the ack; a lost ack leaves the ledger bit set.
-    if (delivery.root_id != 0 && !fate.crash && !fate.lose_ack) {
-      ApplyAck(delivery.root_id, delivery.edge_id ^ xor_out);
-    }
-  }
-  if (fate.crash) RestartBolt(task);
-}
-
-void ReplayEngine::RunFinishPass() {
-  for (const auto& task : tasks_) {
-    if (task->bolt == nullptr) continue;
-    ReplayFinishCollector collector(this, task.get(),
-                                    run_.config.seed ^ task->global_index);
-    task->bolt->Finish(&collector);
-  }
-}
-
 void ReplayEngine::StepInternal(bool allow_finish) {
-  if (!work_.empty()) {
-    Delivery delivery = std::move(work_.front());
-    work_.pop_front();
-    ExecuteDelivery(delivery);
-    MaybeResolveRoot();
+  if (!engine_->step_order_.empty()) {
+    inputs_seen_[engine_->step_order_.front()]++;
+    engine_->StepExecute();
   } else if (next_emission_ < run_.emissions.size()) {
-    EmitNext();
-    MaybeResolveRoot();  // A fully dropped tree resolves immediately.
+    const RecordedEmission& emission = run_.emissions[next_emission_++];
+    engine_->StepInject(emission.spout_task, emission.tuple);
   } else if (allow_finish && !finish_done_) {
-    RunFinishPass();
+    engine_->RunFinishPass();
     finish_done_ = true;
   }
 }
 
 bool ReplayEngine::Done() const {
   return prepared_ && next_emission_ == run_.emissions.size() &&
-         work_.empty() && finish_done_;
+         engine_->step_order_.empty() && finish_done_;
 }
 
 bool ReplayEngine::PreStepBreakpoint() const {
-  if (work_.empty()) return false;
-  const Delivery& next = work_.front();
+  if (engine_->step_order_.empty()) return false;
+  const size_t next = engine_->step_order_.front();
   for (const Breakpoint& bp : breakpoints_) {
     if (bp.kind != Breakpoint::Kind::kTaskTuple) continue;
-    if (bp.task != next.target->global_index) continue;
+    if (bp.task != next) continue;
     const uint64_t ordinal = std::max<uint64_t>(1, bp.count);
-    if (next.target->inputs_seen + 1 == ordinal) return true;
+    if (inputs_seen_[next] + 1 == ordinal) return true;
   }
   return false;
 }
@@ -390,8 +89,8 @@ bool ReplayEngine::PostStepBreakpoint() {
   for (const Breakpoint& bp : breakpoints_) {
     switch (bp.kind) {
       case Breakpoint::Kind::kFirstFault:
-        if (!first_fault_fired_ && fault_plan_ != nullptr &&
-            fault_plan_->total_injected() > 0) {
+        if (!first_fault_fired_ && fault_plan() != nullptr &&
+            fault_plan()->total_injected() > 0) {
           first_fault_fired_ = true;
           return true;
         }
@@ -443,46 +142,52 @@ Status ReplayEngine::RunToEmission(uint64_t emission_count) {
     return Status::FailedPrecondition(
         "replay already past emission " + std::to_string(target));
   }
-  while (next_emission_ < target || !work_.empty()) {
+  while (next_emission_ < target || !engine_->step_order_.empty()) {
     StepInternal(/*allow_finish=*/false);
   }
   return Status::OK();
 }
 
-size_t ReplayEngine::pending_deliveries() const { return work_.size(); }
-
-uint64_t ReplayEngine::inputs_seen(size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
-  return tasks_[global_index]->inputs_seen;
+size_t ReplayEngine::pending_deliveries() const {
+  return engine_->step_order_.size();
 }
 
-size_t ReplayEngine::task_count() const { return tasks_.size(); }
+uint64_t ReplayEngine::inputs_seen(size_t global_index) const {
+  STREAMLIB_CHECK(global_index < task_count());
+  return inputs_seen_[global_index];
+}
+
+size_t ReplayEngine::task_count() const {
+  return engine_->metrics_.task_count();
+}
 
 const TaskMetrics& ReplayEngine::task_metrics(size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
-  return *tasks_[global_index]->metrics;
+  STREAMLIB_CHECK(global_index < task_count());
+  return engine_->metrics_.task(global_index);
 }
 
 std::optional<std::vector<uint8_t>> ReplayEngine::TaskStateBlob(
     size_t global_index) const {
-  STREAMLIB_CHECK(global_index < tasks_.size());
-  const RTask& task = *tasks_[global_index];
-  if (task.bolt == nullptr) return std::nullopt;
-  return task.bolt->StateBlob();
+  STREAMLIB_CHECK(global_index < task_count());
+  const Bolt* bolt = engine_->TaskBolt(global_index);
+  if (bolt == nullptr) return std::nullopt;
+  return bolt->StateBlob();
 }
 
 Result<std::vector<uint8_t>> ReplayEngine::BoltStateBlob(
     const std::string& component, uint32_t task_index) const {
-  for (const auto& task : tasks_) {
-    if (task->metrics->component() != component ||
-        task->task_index != task_index) {
+  for (size_t i = 0; i < task_count(); i++) {
+    const TaskMetrics& metrics = task_metrics(i);
+    if (metrics.component() != component ||
+        metrics.task_index() != task_index) {
       continue;
     }
-    if (task->bolt == nullptr) {
+    const Bolt* bolt = engine_->TaskBolt(i);
+    if (bolt == nullptr) {
       return Status::InvalidArgument("component '" + component +
                                      "' is a spout (no bolt state)");
     }
-    std::optional<std::vector<uint8_t>> blob = task->bolt->StateBlob();
+    std::optional<std::vector<uint8_t>> blob = bolt->StateBlob();
     if (!blob.has_value()) {
       return Status::Unimplemented("bolt '" + component +
                                    "' exposes no StateBlob");
@@ -493,20 +198,7 @@ Result<std::vector<uint8_t>> ReplayEngine::BoltStateBlob(
                           std::to_string(task_index) + "]' in topology");
 }
 
-RunSummary ReplayEngine::Summary() const {
-  RunSummary summary;
-  summary.completed_roots = completed_roots_;
-  summary.failed_roots = failed_roots_;
-  if (fault_plan_ != nullptr) summary.faults_by_kind = fault_plan_->Snapshot();
-  summary.tasks.reserve(metrics_.task_count());
-  for (size_t i = 0; i < metrics_.task_count(); i++) {
-    const TaskMetrics& m = metrics_.task(i);
-    summary.tasks.push_back(RunSummary::TaskCounters{
-        m.emitted(), m.executed(), m.acked(), m.failed(),
-        m.bolt_exceptions()});
-  }
-  return summary;
-}
+RunSummary ReplayEngine::Summary() const { return engine_->Summary(); }
 
 Status ReplayEngine::CompareWithRecorded() const {
   if (!run_.has_summary) {
@@ -540,8 +232,8 @@ Status ReplayEngine::CompareWithRecorded() const {
   }
   for (size_t i = 0; i < got.tasks.size(); i++) {
     const std::string prefix =
-        metrics_.task(i).component() + "[" +
-        std::to_string(metrics_.task(i).task_index()) + "].";
+        task_metrics(i).component() + "[" +
+        std::to_string(task_metrics(i).task_index()) + "].";
     if (got.tasks[i].emitted != want.tasks[i].emitted) {
       return mismatch(prefix + "emitted", got.tasks[i].emitted,
                       want.tasks[i].emitted);

@@ -2,7 +2,6 @@
 #define STREAMLIB_PLATFORM_REPLAY_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -11,6 +10,8 @@
 
 #include "common/status.h"
 #include "platform/checkpoint.h"
+#include "platform/clock.h"
+#include "platform/engine.h"
 #include "platform/metrics.h"
 #include "platform/recorder.h"
 #include "platform/topology.h"
@@ -18,24 +19,26 @@
 namespace streamlib::platform {
 
 /// \file replay.h
-/// Time-travel re-execution of a flight recording (recorder.h): the
-/// recorded spout emissions are fed through the topology one at a time on
-/// a single thread, with every nondeterministic decision — shuffle
-/// routing, fault draws — regenerated from the recorded seeds through the
-/// live engine's own draw functions (DrawTransportFate, DrawExecutorFate)
-/// in the live per-site consultation order. Between any two
-/// tuples the debugger can pause, inspect bolt state (Bolt::StateBlob)
-/// and live TaskMetrics, and resume.
+/// Time-travel re-execution of a flight recording (recorder.h). The
+/// replayer is not a second engine: it builds the real TopologyEngine from
+/// the recorded config and drives it through the engine's single-threaded
+/// drive mode — the same tasks, routing, staging, hop executor, fused
+/// chains, fault sites and ack ledger a live run uses, under a ManualClock
+/// (injected delays and stalls return at once), with the sampler and
+/// tracing off. Recorded spout emissions are injected into the spout
+/// task's own collector; every other nondeterministic decision — shuffle
+/// routing, fault draws — is regenerated from the recorded seeds in each
+/// site's own program order. Between any two units the debugger can pause,
+/// inspect bolt state (Bolt::StateBlob) and live TaskMetrics, and resume.
 ///
 /// Determinism contract (DESIGN.md §11): replay-vs-replay of one
 /// recording is always bit-identical. Replay-vs-original is bit-identical
 /// when (1) every bolt fed during the run phase has exactly one producer
 /// *task* (chains and fields/shuffle fan-outs from a single source task —
 /// combiners fed only by the single-threaded finish pass don't count),
-/// (2) task_crash is only armed with execute_batch_size == 1, (3)
-/// at-least-once broadcast edges out of spouts are avoided, and (4) with
-/// task_crash armed, the crash budget (max_task_crashes) never runs out —
-/// an exhausted budget is claimed by concurrently-firing sites in
+/// (2) task_crash is only armed with execute_batch_size == 1, and (3)
+/// with task_crash armed, the crash budget (max_task_crashes) never runs
+/// out — an exhausted budget is claimed by concurrently-firing sites in
 /// wall-clock order, which no sequential re-execution can reproduce, and
 /// the denial leaks into the losing site's later draw stream (a crash
 /// skips the acker-loss draw).
@@ -46,21 +49,23 @@ namespace streamlib::platform {
 /// draws them per message, before the message runs, so batched and
 /// per-tuple delivery consult the site identically. The live ack timeout
 /// must also be long enough that only structurally unresolvable trees
-/// fail.
+/// fail. Fusion needs no condition: a fused chain runs on its head's
+/// thread in program order, live and replayed alike.
 ///
 /// Epoch checkpointing (DESIGN.md §12) is outside this contract entirely:
 /// recording requires epoch_interval_tuples == 0 and resume_from_epoch ==
-/// 0 (EngineConfig::Validate rejects the combination). A resumed run's
-/// first emission depends on restored spout state, and barrier alignment
-/// (hold timers, force-advance) depends on wall-clock timing the SLFR
-/// format does not capture — replay a *fresh* run, or use the epoch
-/// determinism guarantees of exactly_once_test.cc instead.
+/// 0 (EngineConfig::Validate rejects the combination). SLFR captures
+/// neither barrier alignment timing (hold timers, force-advance) nor the
+/// restored spout state a resumed run's first emission depends on — replay
+/// a *fresh* run, or use the epoch determinism guarantees of
+/// exactly_once_test.cc instead.
 
 /// A pause condition for replayed execution.
 struct Breakpoint {
   enum class Kind {
     /// Pause before task `task` (global index) executes its `count`th
-    /// input tuple (1-based).
+    /// queued input tuple (1-based). A fused follower has no queue: its
+    /// inputs run inside its chain head's step, so this never fires on one.
     kTaskTuple,
     /// Pause as soon as the replayed FaultPlan has injected any fault.
     kFirstFault,
@@ -87,13 +92,14 @@ struct ReplayOptions {
 
 /// Deterministic single-threaded re-execution of one RecordedRun.
 ///
-/// Unit of progress: one spout emission injected, or one delivered tuple
-/// executed at a bolt. Each emission's full tuple tree drains (FIFO,
-/// preserving per-producer order) before the next emission, and under
-/// at-least-once its XOR ledger resolves synchronously — acked iff the
-/// ledger clears, replacing the live engine's wall-clock ack timeout.
-/// Spout user code is never invoked (emissions come from the file);
-/// acked/failed land on the spout task's metrics directly.
+/// Unit of progress: one spout emission injected (with every fused stage
+/// it runs inline), or one queued delivery executed at a bolt (likewise).
+/// Deliveries run in the order their flushes reached the queues, and each
+/// emission's full tuple tree drains before the next emission. Under
+/// at-least-once the ack ledger is applied after every unit and a root
+/// still open once its tree drained fails — replacing the live engine's
+/// wall-clock ack timeout. Spout user code is never invoked (emissions
+/// come from the file); acked/failed land on the spout task's metrics.
 class ReplayEngine {
  public:
   ReplayEngine(Topology topology, RecordedRun run, ReplayOptions options = {});
@@ -128,7 +134,8 @@ class ReplayEngine {
   /// Tuples currently queued inside the in-flight tree (0 when paused
   /// between trees).
   size_t pending_deliveries() const;
-  /// Input tuples delivered to a task so far (kTaskTuple's counter).
+  /// Queued input tuples delivered to a task so far (kTaskTuple's counter;
+  /// always 0 on a fused follower).
   uint64_t inputs_seen(size_t global_index) const;
 
   /// State snapshot of one bolt: Unimplemented if the bolt exposes no
@@ -141,11 +148,11 @@ class ReplayEngine {
 
   size_t task_count() const;
   const TaskMetrics& task_metrics(size_t global_index) const;
-  MetricsRegistry& metrics() { return metrics_; }
+  MetricsRegistry& metrics() { return engine_->metrics(); }
   /// Null when the recording ran without fault injection.
-  const FaultPlan* fault_plan() const { return fault_plan_.get(); }
-  uint64_t completed_roots() const { return completed_roots_; }
-  uint64_t failed_roots() const { return failed_roots_; }
+  const FaultPlan* fault_plan() const { return engine_->fault_plan(); }
+  uint64_t completed_roots() const { return engine_->completed_roots(); }
+  uint64_t failed_roots() const { return engine_->failed_roots(); }
   const RecordedRun& run() const { return run_; }
 
   /// Current counters in the RunSummary shape (comparable to the
@@ -159,46 +166,19 @@ class ReplayEngine {
   Status CompareWithRecorded() const;
 
  private:
-  struct RTask;
-  struct Edge;
-  struct Delivery;
-  class ReplayCollector;
-  class ReplayFinishCollector;
-
-  void EmitNext();
-  void ExecuteDelivery(Delivery& delivery);
-  void MaybeResolveRoot();
-  void RestartBolt(RTask* task);
-  void RunFinishPass();
   void StepInternal(bool allow_finish);
   bool PreStepBreakpoint() const;
   bool PostStepBreakpoint();
-  void InitRoot(uint64_t root, uint64_t edge_xor, size_t spout_task);
-  void ApplyAck(uint64_t root, uint64_t xor_value);
 
-  Topology topology_;
   RecordedRun run_;
   ReplayOptions options_;
   bool prepared_ = false;
 
-  MetricsRegistry metrics_;
-  std::unique_ptr<FaultPlan> fault_plan_;
-  std::vector<std::unique_ptr<RTask>> tasks_;
-  std::vector<std::vector<Edge>> outgoing_;  // Per component index.
-
-  std::deque<Delivery> work_;
+  ManualClock clock_;  // Outlives engine_.
+  std::unique_ptr<TopologyEngine> engine_;
+  std::vector<uint64_t> inputs_seen_;  // Per global task index.
   uint64_t next_emission_ = 0;
   bool finish_done_ = false;
-
-  uint64_t next_root_id_ = 1;
-  uint64_t next_edge_id_ = 1;
-  // The one in-flight tree's ledger (trees drain before the next starts).
-  bool root_active_ = false;
-  uint64_t root_id_ = 0;
-  uint64_t root_value_ = 0;
-  size_t root_spout_task_ = 0;
-  uint64_t completed_roots_ = 0;
-  uint64_t failed_roots_ = 0;
 
   std::vector<Breakpoint> breakpoints_;
   bool skip_pre_check_once_ = false;

@@ -23,6 +23,18 @@
 
 namespace streamlib::platform {
 
+/// Scales a wall-clock ack timeout for sanitized builds. A chaos test's
+/// timeout must expire only structurally unresolvable roots; ASan and TSan
+/// slow execution several-fold, so a window sized for an optimized build
+/// would also expire healthy ones there.
+inline double SanitizerScaled(double seconds) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  return seconds * 10;
+#else
+  return seconds;
+#endif
+}
+
 /// State shared between a ReplaySpout and the test body. All access is
 /// mutex-guarded: NextTuple runs on the spout thread while OnAck/OnFail
 /// arrive from the acker thread.

@@ -285,6 +285,18 @@ TEST(SerdeTest, TruncatedVarintIsCorruption) {
   EXPECT_EQ(r.GetVarint(&v).code(), StatusCode::kCorruption);
 }
 
+TEST(SerdeTest, ZeroLengthReadIntoEmptyBufferIsOk) {
+  // An empty payload decodes into an empty vector, whose data() is null:
+  // the zero-length read must succeed without touching either pointer.
+  const std::vector<uint8_t> empty;
+  ByteReader r(empty);
+  std::vector<uint8_t> out;
+  ASSERT_TRUE(r.GetBytes(out.data(), 0).ok());
+  EXPECT_TRUE(r.AtEnd());
+  uint8_t byte = 0;
+  EXPECT_EQ(r.GetBytes(&byte, 1).code(), StatusCode::kCorruption);
+}
+
 TEST(SerdeTest, TruncatedStringIsCorruption) {
   ByteWriter w;
   w.PutVarint(100);  // Claims 100 bytes, provides none.

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -410,7 +411,7 @@ TEST(AckTimeoutReplayTest, DroppedTupleFailsThenReplaysToFullAck) {
 
   EngineConfig config;
   config.semantics = DeliverySemantics::kAtLeastOnce;
-  config.ack_timeout_seconds = 0.1;
+  config.ack_timeout_seconds = SanitizerScaled(0.1);
   config.faults.seed = TestSeed() ^ 0xd409;
   config.faults.drop_tuple_prob = 0.05;
   TopologyEngine engine(builder.Build().value(), config);
@@ -423,6 +424,49 @@ TEST(AckTimeoutReplayTest, DroppedTupleFailsThenReplaysToFullAck) {
   EXPECT_EQ(state->acked, static_cast<uint64_t>(kN));
   EXPECT_EQ(delivered->load(), static_cast<uint64_t>(kN));
   EXPECT_EQ(engine.failed_roots(), state->failed);
+}
+
+// One emission broadcast to every task of a bolt, every delivery dropped:
+// the root can only fail. The first ids a run allocates must not XOR to
+// zero (1 ^ 2 ^ 3 == 0), or the kInit alone acks the 3-task fan-out with
+// nothing executed.
+TEST(AckLedgerTest, FullyDroppedBroadcastFailsItsRoot) {
+  for (uint32_t parallelism : {3u, 4u}) {
+    SCOPED_TRACE("parallelism " + std::to_string(parallelism));
+    auto executed = std::make_shared<std::atomic<uint64_t>>(0);
+    TopologyBuilder builder;
+    builder.AddSpout("src", []() -> std::unique_ptr<Spout> {
+      return std::make_unique<GeneratorSpout>(
+          [sent = false]() mutable -> std::optional<Tuple> {
+            if (sent) return std::nullopt;
+            sent = true;
+            return Tuple::Of(int64_t{7});
+          });
+    });
+    builder.AddBolt(
+        "fan",
+        [executed]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<FunctionBolt>(
+              [executed](const Tuple&, OutputCollector*) {
+                executed->fetch_add(1, std::memory_order_relaxed);
+              });
+        },
+        parallelism, {{"src", Grouping::Broadcast()}});
+
+    EngineConfig config;
+    config.semantics = DeliverySemantics::kAtLeastOnce;
+    config.ack_timeout_seconds = 0.05;
+    config.telemetry_sample_interval_ms = 0;
+    config.faults.drop_tuple_prob = 1.0;
+    TopologyEngine engine(builder.Build().value(), config);
+    engine.Run();
+
+    EXPECT_EQ(engine.fault_plan()->injected(FaultKind::kDropTuple),
+              parallelism);
+    EXPECT_EQ(executed->load(), 0u);
+    EXPECT_EQ(engine.completed_roots(), 0u);
+    EXPECT_EQ(engine.failed_roots(), 1u);
+  }
 }
 
 // ----------------------------------------- checkpoint restore edge cases

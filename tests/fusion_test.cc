@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <map>
 #include <memory>
 #include <optional>
@@ -17,6 +18,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/state.h"
 #include "core/frequency/count_min_sketch.h"
@@ -26,6 +29,7 @@
 #include "platform/engine.h"
 #include "platform/fault.h"
 #include "platform/plan.h"
+#include "platform/recorder.h"
 #include "platform/topology.h"
 
 namespace streamlib::platform {
@@ -265,19 +269,30 @@ TEST(FusionLegalityTest, EpochBarrierEdgesRefuse) {
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(FusionLegalityTest, RecorderTappedSpoutRefusesButBoltChainFuses) {
+// A recorder attached to the run vetoes nothing: replay drives the same
+// engine, fused plan included, so the whole spout chain still fuses.
+TEST(FusionLegalityTest, RecorderAttachedSpoutChainFuses) {
   TupleSink sink;
-  FusionOptions options = FusionOn();
-  options.recorder_attached = true;
-  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), options);
-  // The spout edge must stay queued (recordings replay through queued
-  // edges), but the bolt->bolt tail is still eligible.
-  EXPECT_EQ(plan.fused_edge_count(), 1u);
-  EXPECT_NE(EdgeBetween(plan, "src", "map").veto.find("recorder"),
-            std::string::npos);
-  EXPECT_EQ(EdgeBetween(plan, "map", "sink").channel, EdgeChannel::kFused);
-  ASSERT_EQ(plan.chains().size(), 1u);
-  EXPECT_EQ(plan.chains()[0], (std::vector<size_t>{1, 2}));
+  Topology topology = ThreeStageChain(&sink, 50);
+  EngineConfig config;
+  config.enable_fusion = true;
+  config.telemetry_sample_interval_ms = 0;
+  const std::string path = ::testing::TempDir() + "fusion_test_" +
+                           std::to_string(::getpid()) + "_recorded.slfr";
+  Result<std::unique_ptr<RunRecorder>> recorder =
+      RunRecorder::Create(path, config, topology);
+  ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
+  config.recorder = recorder.value().get();
+  TopologyEngine engine(std::move(topology), config);
+  engine.Run();
+  ASSERT_TRUE(recorder.value()->Finalize().ok());
+  std::remove(path.c_str());
+
+  EXPECT_EQ(engine.fused_edges(), 2u);
+  ASSERT_EQ(engine.plan()->chains().size(), 1u);
+  EXPECT_EQ(engine.plan()->chains()[0], (std::vector<size_t>{0, 1, 2}));
+  EXPECT_EQ(recorder.value()->records_written(), 50u);
+  EXPECT_EQ(sink.Size(), 50u);
 }
 
 // ------------------------------------------------------ engine execution

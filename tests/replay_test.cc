@@ -30,6 +30,7 @@
 #include "platform/components.h"
 #include "platform/engine.h"
 #include "platform/fault.h"
+#include "platform/plan.h"
 #include "platform/recorder.h"
 #include "platform/replay.h"
 #include "platform/replayable_log.h"
@@ -160,9 +161,10 @@ Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
 
 // Records one live run of the pipeline to `path` and returns the parsed
 // recording. The run's side effects (final checkpoints, merged blob)
-// land in whatever PipelineParts the topology was built with.
+// land in whatever PipelineParts the topology was built with; `plan`,
+// when set, receives the live engine's compiled plan.
 RecordedRun RecordRun(const std::string& path, EngineConfig config,
-                      Topology topology) {
+                      Topology topology, TopologyPlan* plan = nullptr) {
   Result<std::unique_ptr<RunRecorder>> recorder =
       RunRecorder::Create(path, config, topology);
   STREAMLIB_CHECK_MSG(recorder.ok(), "recorder create failed: %s",
@@ -171,6 +173,7 @@ RecordedRun RecordRun(const std::string& path, EngineConfig config,
   {
     TopologyEngine engine(std::move(topology), config);
     engine.Run();
+    if (plan != nullptr) *plan = *engine.plan();
   }
   const Status finalized = recorder.value()->Finalize();
   STREAMLIB_CHECK_MSG(finalized.ok(), "finalize failed: %s",
@@ -220,7 +223,7 @@ TEST(TupleCodecTest, RejectsTruncatedPayload) {
   ByteWriter w;
   EncodeTuple(w, Tuple::Of(std::string("abcdef"), int64_t{7}));
   std::vector<uint8_t> bytes = w.bytes();
-  bytes.resize(bytes.size() - 3);
+  bytes.erase(bytes.end() - 3, bytes.end());
   ByteReader r(bytes);
   Tuple decoded;
   EXPECT_EQ(DecodeTuple(r, &decoded).code(), StatusCode::kCorruption);
@@ -248,6 +251,7 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   config.faults.seed = 99;
   config.faults.drop_tuple_prob = 0.125;
   config.faults.max_task_crashes = 3;
+  config.enable_fusion = true;  // Version 3's trailing config byte.
 
   Result<std::unique_ptr<RunRecorder>> recorder =
       RunRecorder::Create(path, config, topology);
@@ -280,6 +284,7 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   EXPECT_EQ(r.config.faults.seed, 99u);
   EXPECT_EQ(r.config.faults.drop_tuple_prob, 0.125);
   EXPECT_EQ(r.config.faults.max_task_crashes, 3u);
+  EXPECT_TRUE(r.config.enable_fusion);
   EXPECT_EQ(r.config.recorder, nullptr);
 
   ASSERT_EQ(r.emissions.size(), 2u);
@@ -485,6 +490,9 @@ EngineConfig TortureConfig(uint64_t seed, uint64_t k) {
     config.faults.queue_stall_prob = 0.02;
     config.faults.queue_stall_micros = 30;
   }
+  // Half the dedicated seeds fuse (the multiplexed pool never does): the
+  // src->relay edge then runs inline, live and replayed alike.
+  config.enable_fusion = k % 8 < 2;
   return config;
 }
 
@@ -613,6 +621,102 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
     std::remove(path.c_str());
   }
   EXPECT_TRUE(crash_covered) << "no seed produced a mid-run task crash";
+}
+
+// A recording of a fused plan replays through the same fused plan: the
+// src->relay edge runs inline on the spout's step under drops, dups,
+// delays, throws and stalls, and counters and sketch state still match.
+TEST(RecordReplayFusionTest, FusedSpoutEdgeReplaysBitIdentical) {
+  const uint64_t seed = TestSeed() ^ 0xf05edu;
+  const uint64_t n = 300;
+  EngineConfig config = TortureConfig(seed, /*k=*/0);
+  config.enable_fusion = true;
+  const std::string path = TempPath("fused.slfr");
+  PipelineParts live;
+  TopologyPlan plan;
+  const RecordedRun run =
+      RecordRun(path, config, BuildPipeline(seed, n, &live), &plan);
+  const PlanEdge* src_relay = nullptr;
+  for (const PlanEdge& edge : plan.edges()) {
+    if (plan.nodes()[edge.from].name == "src" &&
+        plan.nodes()[edge.to].name == "relay") {
+      src_relay = &edge;
+    }
+  }
+  ASSERT_NE(src_relay, nullptr);
+  ASSERT_EQ(src_relay->channel, EdgeChannel::kFused) << plan.ToString();
+
+  PipelineParts replayed;
+  ReplayEngine replay(BuildPipeline(seed, n, &replayed), run);
+  ASSERT_TRUE(replay.Prepare().ok());
+  EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
+  const Status verdict = replay.CompareWithRecorded();
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  // relay is a fused follower: its inputs ran inside src's steps.
+  EXPECT_EQ(replay.inputs_seen(1), 0u);
+  EXPECT_EQ(*live.merged, *replayed.merged);
+  for (uint32_t shard = 0; shard < 3; shard++) {
+    Result<std::vector<uint8_t>> blob = replay.BoltStateBlob("cm", shard);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    Result<std::vector<uint8_t>> live_blob =
+        live.store->Fetch("cm:" + std::to_string(shard));
+    ASSERT_TRUE(live_blob.ok()) << live_blob.status().ToString();
+    EXPECT_EQ(blob.value(), live_blob.value());
+  }
+  std::remove(path.c_str());
+}
+
+// At-least-once broadcast out of a spout: every emission opens its root
+// with one ledger edge per shard. Live and replayed runs allocate
+// different edge ids, so this replays bit-identically only if no set of
+// distinct ids XORs to zero and acks a root early on one side alone.
+TEST(RecordReplayBroadcastTest, SpoutBroadcastUnderAtLeastOnceReplays) {
+  for (uint64_t k = 0; k < 8; k++) {
+    SCOPED_TRACE("seed index " + std::to_string(k));
+    const uint64_t seed = TestSeed() ^ (0xb40adu + k * 0x9e3779b9u);
+    auto build = [seed](PipelineParts* parts) {
+      auto gen = std::make_shared<WordGen>(seed, 120);
+      TopologyBuilder builder;
+      builder.AddSpout("src", [gen] {
+        return std::make_unique<GeneratorSpout>([gen] { return gen->Next(); });
+      });
+      auto merged = parts->merged;
+      builder.AddBolt(
+          "cm",
+          [] {
+            return std::make_unique<SketchBolt<CountMinSketch>>(
+                CountMinSketch(512, 4),
+                [](CountMinSketch& sketch, const Tuple& input) {
+                  sketch.Add(input.Str(0));
+                });
+          },
+          3, {{"src", Grouping::Broadcast()}});
+      builder.AddBolt(
+          "merge",
+          [merged] {
+            return std::make_unique<SketchCombinerBolt<CountMinSketch>>(
+                CountMinSketch(512, 4),
+                [merged](const CountMinSketch& sketch, OutputCollector*) {
+                  *merged = state::ToBlob(sketch);
+                });
+          },
+          1, {{"cm", Grouping::Global()}});
+      return builder.Build().value();
+    };
+    EngineConfig config = TortureConfig(seed, k);
+    config.semantics = DeliverySemantics::kAtLeastOnce;
+    const std::string path = TempPath("broadcast.slfr");
+    PipelineParts live;
+    const RecordedRun run = RecordRun(path, config, build(&live));
+    PipelineParts replayed;
+    ReplayEngine replay(build(&replayed), run);
+    ASSERT_TRUE(replay.Prepare().ok());
+    EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
+    const Status verdict = replay.CompareWithRecorded();
+    EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+    EXPECT_EQ(*live.merged, *replayed.merged);
+    std::remove(path.c_str());
+  }
 }
 
 // --------------------------------------------- breakpoints and stepping
