@@ -20,7 +20,8 @@ namespace streamlib {
 class EhSum {
  public:
   static constexpr state::TypeId kTypeId = state::TypeId::kEhSum;
-  static constexpr uint16_t kStateVersion = 1;
+  /// Follows ExponentialHistogram's payload, which it embeds per bit.
+  static constexpr uint16_t kStateVersion = 2;
 
   /// \param window      window size W in elements.
   /// \param k           DGIM buckets per size class (error ~ 1/k).

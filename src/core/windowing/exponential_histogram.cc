@@ -19,7 +19,7 @@ void ExponentialHistogram::Add(bool bit) {
   position_++;
   ExpireOld();
   if (!bit) return;
-  buckets_.push_back(Bucket{position_, 1});
+  buckets_.push_back(Bucket{position_, 1, position_});
   total_ += 1;
   MergeOverflow();
 }
@@ -49,19 +49,39 @@ void ExponentialHistogram::MergeOverflow() {
     }
     if (count < k_ + 2) break;
     // Merge the two oldest of this class: positions i and i+1.
-    buckets_[i].size *= 2;
-    // Keep the newest position of the merged pair (bucket i+1 is newer).
-    buckets_[i].newest_position = buckets_[i + 1].newest_position;
+    buckets_[i] = Combine(buckets_[i], buckets_[i + 1]);
     buckets_.erase(buckets_.begin() + static_cast<long>(i) + 1);
     end = i + 1;  // The merged bucket belongs to the next class.
     size *= 2;
   }
 }
 
+ExponentialHistogram::Bucket ExponentialHistogram::Combine(
+    const Bucket& older, const Bucket& newer) {
+  // After a merge the two spans may interleave, so take both extremes.
+  return Bucket{std::max(older.newest_position, newer.newest_position),
+                older.size * 2,
+                std::min(older.oldest_position, newer.oldest_position)};
+}
+
+// A single stream's buckets cover disjoint ranges, so only the oldest can
+// straddle the window start; merged shards interleave, so Estimate and
+// LowerBound check every bucket.
 uint64_t ExponentialHistogram::Estimate() const {
-  if (buckets_.empty()) return 0;
-  // All of every bucket except the oldest, plus half the oldest.
-  return total_ - buckets_.front().size / 2;
+  // All of every bucket inside the window, plus half of each straddler.
+  uint64_t estimate = total_;
+  for (const Bucket& b : buckets_) {
+    if (Straddles(b)) estimate -= b.size / 2;
+  }
+  return estimate;
+}
+
+uint64_t ExponentialHistogram::LowerBound() const {
+  uint64_t bound = total_;
+  for (const Bucket& b : buckets_) {
+    if (Straddles(b)) bound -= b.size - 1;
+  }
+  return bound;
 }
 
 void ExponentialHistogram::Canonicalize() {
@@ -73,7 +93,7 @@ void ExponentialHistogram::Canonicalize() {
   for (auto it = classes.begin(); it != classes.end(); ++it) {
     std::vector<Bucket>& vec = it->second;
     while (vec.size() >= k_ + 2) {
-      Bucket merged{vec[1].newest_position, it->first * 2};
+      const Bucket merged = Combine(vec[0], vec[1]);
       vec.erase(vec.begin(), vec.begin() + 2);
       std::vector<Bucket>& up = classes[it->first * 2];
       up.insert(std::upper_bound(up.begin(), up.end(), merged,
@@ -121,6 +141,7 @@ void ExponentialHistogram::SerializeTo(ByteWriter& w) const {
   for (const Bucket& b : buckets_) {
     w.PutVarint(b.newest_position);
     w.PutVarint(b.size);
+    w.PutVarint(b.newest_position - b.oldest_position);
   }
 }
 
@@ -137,7 +158,7 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
   if (window < 1 || k < 1) {
     return Status::Corruption("EH: parameters out of range");
   }
-  if (num_buckets * 2 > r.remaining()) {
+  if (num_buckets * 3 > r.remaining()) {
     return Status::Corruption("EH: bucket count exceeds payload");
   }
   ExponentialHistogram hist(window, k);
@@ -145,15 +166,19 @@ Result<ExponentialHistogram> ExponentialHistogram::Deserialize(
   uint64_t prev_position = 0;
   for (uint64_t i = 0; i < num_buckets; i++) {
     Bucket b{};
+    uint64_t span = 0;
     STREAMLIB_RETURN_NOT_OK(r.GetVarint(&b.newest_position));
     STREAMLIB_RETURN_NOT_OK(r.GetVarint(&b.size));
+    STREAMLIB_RETURN_NOT_OK(r.GetVarint(&span));
     if (b.size == 0 || !IsPowerOfTwo(b.size) ||
+        span >= b.newest_position ||
         b.newest_position > position ||
         b.newest_position + window <= position ||
         (i > 0 && b.newest_position < prev_position)) {
       return Status::Corruption("EH: malformed bucket");
     }
     prev_position = b.newest_position;
+    b.oldest_position = b.newest_position - span;
     hist.buckets_.push_back(b);
     hist.total_ += b.size;
   }

@@ -24,7 +24,7 @@ class ExponentialHistogram {
  public:
   static constexpr state::TypeId kTypeId =
       state::TypeId::kExponentialHistogram;
-  static constexpr uint16_t kStateVersion = 1;
+  static constexpr uint16_t kStateVersion = 2;
 
   /// \param window  window size W in stream positions.
   /// \param k       buckets per size class; relative error <= 1/k... with
@@ -34,15 +34,15 @@ class ExponentialHistogram {
   /// Processes the next bit of the stream.
   void Add(bool bit);
 
-  /// Estimated count of 1s among the last `window` bits:
-  /// total bucket mass minus half the oldest bucket.
+  /// Estimated count of 1s among the last `window` bits: total bucket
+  /// mass minus half of every bucket that straddles the window start.
   uint64_t Estimate() const;
 
-  /// Upper/lower bounds bracketing the true count.
+  /// Upper/lower bounds bracketing the true count. A bucket whose oldest 1
+  /// has left the window still holds at least its newest 1 inside it, so
+  /// the lower bound counts each straddling bucket as 1.
   uint64_t UpperBound() const { return total_; }
-  uint64_t LowerBound() const {
-    return buckets_.empty() ? 0 : total_ - buckets_.front().size + 1;
-  }
+  uint64_t LowerBound() const;
 
   uint64_t window() const { return window_; }
   uint64_t position() const { return position_; }
@@ -53,10 +53,13 @@ class ExponentialHistogram {
   /// positions are event indices, as in SlidingHyperLogLog). Buckets are
   /// interleaved by position, expired against the later of the two
   /// positions, and the k+1-per-size-class invariant is re-established.
+  /// Interleaved buckets span overlapping position ranges, so after a
+  /// merge any bucket — not only the oldest — may straddle the window
+  /// start; each bucket's oldest position keeps the bounds honest.
   Status Merge(const ExponentialHistogram& other);
 
   /// state::MergeableSketch payload: parameters, position, then the buckets
-  /// oldest-first.
+  /// oldest-first as (newest position, size, newest - oldest position).
   void SerializeTo(ByteWriter& w) const;
   static Result<ExponentialHistogram> Deserialize(ByteReader& r);
 
@@ -68,7 +71,17 @@ class ExponentialHistogram {
   struct Bucket {
     uint64_t newest_position;  // Arrival index of the newest 1 in the bucket.
     uint64_t size;             // Number of 1s (a power of two).
+    uint64_t oldest_position;  // Arrival index of the oldest 1 in the bucket.
   };
+
+  /// Two buckets of one size class combined into one of twice the size.
+  static Bucket Combine(const Bucket& older, const Bucket& newer);
+
+  /// True when the bucket's oldest 1 has left the window (its newest is
+  /// still inside, or the bucket would have expired).
+  bool Straddles(const Bucket& b) const {
+    return b.oldest_position + window_ <= position_;
+  }
 
   void ExpireOld();
   void MergeOverflow();

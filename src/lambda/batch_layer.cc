@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/check.h"
 #include "common/serde.h"
 #include "common/state.h"
 #include "core/cardinality/hyperloglog.h"
@@ -22,14 +23,31 @@ double BatchView::TotalOf(const std::string& key) const {
   return it == key_totals.end() ? 0.0 : it->second;
 }
 
+const std::vector<const BatchView::Entry*>& BatchView::Ranking::Get(
+    const std::unordered_map<std::string, double>& totals) {
+  if (built_.load(std::memory_order_acquire)) return order_;
+  std::lock_guard<std::mutex> lock(build_mu_);
+  if (!built_.load(std::memory_order_relaxed)) {
+    order_.reserve(totals.size());
+    for (const Entry& entry : totals) order_.push_back(&entry);
+    std::sort(order_.begin(), order_.end(),
+              [](const Entry* a, const Entry* b) {
+                return a->second != b->second ? a->second > b->second
+                                              : a->first < b->first;
+              });
+    built_.store(true, std::memory_order_release);
+  }
+  return order_;
+}
+
 std::vector<std::pair<std::string, double>> BatchView::TopK(size_t k) const {
-  std::vector<std::pair<std::string, double>> all(key_totals.begin(),
-                                                  key_totals.end());
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.second != b.second ? a.second > b.second : a.first < b.first;
-  });
-  if (all.size() > k) all.resize(k);
-  return all;
+  const std::vector<const Entry*>& order = ranking_.Get(key_totals);
+  STREAMLIB_DCHECK(order.size() == key_totals.size());
+  const size_t n = std::min(k, order.size());
+  std::vector<std::pair<std::string, double>> top;
+  top.reserve(n);
+  for (size_t i = 0; i < n; i++) top.emplace_back(*order[i]);
+  return top;
 }
 
 void BatchView::SnapshotTo(platform::KvCheckpointStore* store,

@@ -1,7 +1,9 @@
 #ifndef STREAMLIB_LAMBDA_BATCH_LAYER_H_
 #define STREAMLIB_LAMBDA_BATCH_LAYER_H_
 
+#include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -17,6 +19,10 @@ namespace streamlib::lambda {
 /// the serving layer "indexes them for low-latency queries"). Immutable
 /// once built; `through_offset` records the prefix it covers so the speed
 /// layer knows where real-time responsibility begins.
+///
+/// The serving index is a ranking of the keys, built by the first TopK on
+/// the view object (never by Recompute or RestoreFrom) and reused by every
+/// later one. Mutating `key_totals` after that first TopK is not supported.
 struct BatchView {
   uint64_t through_offset = 0;  ///< exclusive end of the covered prefix
   std::unordered_map<std::string, double> key_totals;  ///< exact sums
@@ -30,7 +36,9 @@ struct BatchView {
   /// Exact total for a key over the covered prefix (0 if absent).
   double TotalOf(const std::string& key) const;
 
-  /// Top-k keys by total, descending.
+  /// Top-k keys by total descending, ties by key ascending. The first call
+  /// on a view ranks every key, O(n log n) once; each call copies k entries.
+  /// Safe to call from many threads at once.
   std::vector<std::pair<std::string, double>> TopK(size_t k) const;
 
   /// Persists the view into `store` under `prefix` — the distinct-key
@@ -42,6 +50,44 @@ struct BatchView {
   /// entries surface as the underlying Status.
   static Result<BatchView> RestoreFrom(const platform::KvCheckpointStore& store,
                                        const std::string& prefix);
+
+ private:
+  using Entry = std::unordered_map<std::string, double>::value_type;
+
+  /// Every key of `key_totals` in TopK order, as pointers into the map's
+  /// nodes, built once under a lock and then read lock-free. A ranking
+  /// points into the map it was built from, so it never travels: a copy,
+  /// the target of a move and the source of a move all start unranked.
+  class Ranking {
+   public:
+    Ranking() = default;
+    Ranking(const Ranking&) {}
+    Ranking(Ranking&& other) noexcept { other.Reset(); }
+    Ranking& operator=(const Ranking&) {
+      Reset();
+      return *this;
+    }
+    Ranking& operator=(Ranking&& other) noexcept {
+      Reset();
+      other.Reset();
+      return *this;
+    }
+
+    const std::vector<const Entry*>& Get(
+        const std::unordered_map<std::string, double>& totals);
+
+   private:
+    void Reset() noexcept {
+      built_.store(false, std::memory_order_relaxed);
+      order_.clear();
+    }
+
+    std::mutex build_mu_;
+    std::atomic<bool> built_{false};
+    std::vector<const Entry*> order_;  // Written once, before built_.
+  };
+
+  mutable Ranking ranking_;
 };
 
 /// The batch layer: recomputes a BatchView from scratch over the current

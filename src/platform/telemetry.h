@@ -2,6 +2,7 @@
 #define STREAMLIB_PLATFORM_TELEMETRY_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -131,7 +132,11 @@ class Telemetry {
     sample_interval_ms_ = sample_interval_ms;
     trace_sample_every_ = trace_sample_every;
   }
-  void AttachSampler(const MetricsSampler* sampler) { sampler_ = sampler; }
+  /// Published with release order: TimeSeries() may run on another thread
+  /// while Run() attaches the sampler.
+  void AttachSampler(const MetricsSampler* sampler) {
+    sampler_.store(sampler, std::memory_order_release);
+  }
   /// Null outside chaos runs (injection disabled).
   void BindFaultPlan(const FaultPlan* plan) { fault_plan_ = plan; }
   /// Null when the run is not being recorded (recorder.h).
@@ -141,7 +146,8 @@ class Telemetry {
   /// Snapshot of the sampler time series; safe to call from any thread
   /// while the topology is running (empty when the sampler is disabled).
   std::vector<TelemetrySample> TimeSeries() const {
-    return sampler_ ? sampler_->Snapshot() : std::vector<TelemetrySample>{};
+    const MetricsSampler* sampler = sampler_.load(std::memory_order_acquire);
+    return sampler ? sampler->Snapshot() : std::vector<TelemetrySample>{};
   }
 
   /// Trace trees and hop summaries; populated after Run() completes.
@@ -153,7 +159,7 @@ class Telemetry {
 
  private:
   const MetricsRegistry* registry_ = nullptr;
-  const MetricsSampler* sampler_ = nullptr;
+  std::atomic<const MetricsSampler*> sampler_{nullptr};
   const FaultPlan* fault_plan_ = nullptr;
   const RunRecorder* recorder_ = nullptr;
   TraceStore traces_;

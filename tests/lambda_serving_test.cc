@@ -4,21 +4,31 @@
 // accounting through the telemetry schema, the snapshot-staleness bound,
 // and the concurrent stress surface (readers hammering the front-end while
 // ingest and batch hand-offs race) that `ctest -L tsan` runs under
-// -fsanitize=thread.
+// -fsanitize=thread. The batch view's top-k index is checked against a
+// brute-force sort, under a race for its first build, and across copies,
+// moves, restores and recomputes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <future>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/random.h"
+#include "common/state.h"
+#include "core/cardinality/hyperloglog.h"
+#include "lambda/batch_layer.h"
 #include "lambda/lambda_pipeline.h"
 #include "lambda/query_frontend.h"
+#include "platform/checkpoint.h"
 #include "platform/clock.h"
 #include "platform/telemetry.h"
+#include "test_seed.h"
 
 namespace streamlib::lambda {
 namespace {
@@ -464,6 +474,173 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
   }
   writer.join();
   EXPECT_GT(repeats, 0u);
+}
+
+// ------------------------------------------------------ batch top-k index
+
+using Ranked = std::vector<std::pair<std::string, double>>;
+
+// The reference answer: copy every (key, total) pair and sort them all.
+Ranked BruteTopK(const BatchView& view, size_t k) {
+  Ranked all(view.key_totals.begin(), view.key_totals.end());
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
+  if (all.size() > k) all.resize(k);
+  return all;
+}
+
+// A view of `n` keys whose totals come from only a few distinct values, so
+// most ranks are decided by the key tie-break.
+BatchView TiedView(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  BatchView view;
+  for (size_t i = 0; i < n; i++) {
+    view.key_totals[NumberedKey("k", static_cast<int>(rng.NextBounded(4 * n)))] =
+        static_cast<double>(rng.NextBounded(5));
+  }
+  return view;
+}
+
+void ExpectTopKMatchesBrute(const BatchView& view) {
+  const size_t n = view.key_totals.size();
+  for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 5}) {
+    EXPECT_EQ(view.TopK(k), BruteTopK(view, k)) << "k=" << k << " n=" << n;
+  }
+}
+
+TEST(BatchViewTopKTest, MatchesBruteForceSortOnTiedTotals) {
+  ExpectTopKMatchesBrute(BatchView());
+  for (size_t n : {1, 2, 9, 64, 1000}) {
+    for (uint64_t round = 0; round < 4; round++) {
+      ExpectTopKMatchesBrute(TiedView(n, TestSeed() ^ (n * 16 + round)));
+    }
+  }
+}
+
+TEST(BatchViewTopKTest, RacingFirstTopKOnSharedSnapshotAgrees) {
+  LambdaPipeline pipeline(SmallConfig());
+  Rng rng(TestSeed() ^ 0x70b);
+  for (int i = 0; i < 5000; i++) {
+    pipeline.Ingest(i, NumberedKey("key", static_cast<int>(rng.NextBounded(800))),
+                    static_cast<double>(rng.NextBounded(3)));
+  }
+  pipeline.RunBatchNow();
+  // Nothing has asked this snapshot for a top-k yet: the racers below
+  // build its batch view's index.
+  const std::shared_ptr<const ServingSnapshot> snap =
+      pipeline.serving().Snapshot();
+  const size_t n = snap->batch->key_totals.size();
+
+  constexpr int kThreads = 8;
+  std::atomic<int> ready{0};
+  std::vector<Ranked> merged(kThreads), full(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      merged[t] = snap->TopK(10);
+      full[t] = snap->batch->TopK(n);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(full[0], BruteTopK(*snap->batch, n));
+  for (int t = 1; t < kThreads; t++) {
+    EXPECT_EQ(merged[t], merged[0]) << "thread " << t;
+    EXPECT_EQ(full[t], full[0]) << "thread " << t;
+  }
+}
+
+TEST(BatchViewTopKTest, CopiedAndMovedViewsRankTheirOwnTotals) {
+  BatchView original = TiedView(200, TestSeed() ^ 0xc0);
+  const Ranked expected = BruteTopK(original, 20);
+  ASSERT_EQ(original.TopK(20), expected);  // Builds the original's index.
+
+  {
+    BatchView copy = original;
+    copy.key_totals.begin()->second = 1e9;  // Before the copy's first TopK.
+    EXPECT_EQ(copy.TopK(20), BruteTopK(copy, 20));
+    EXPECT_EQ(copy.TopK(1).front().second, 1e9);
+  }
+  // The copy is gone; the original still answers from its own map.
+  EXPECT_EQ(original.TopK(20), expected);
+
+  BatchView assigned = TiedView(50, TestSeed() ^ 0xc1);
+  assigned.TopK(5);
+  assigned = original;
+  EXPECT_EQ(assigned.TopK(20), expected);
+
+  BatchView moved = std::move(original);
+  EXPECT_EQ(moved.TopK(20), expected);
+  // The moved-from view is unranked and answers from whatever it now holds.
+  EXPECT_EQ(original.TopK(20), BruteTopK(original, 20));
+  original = TiedView(30, TestSeed() ^ 0xc2);
+  EXPECT_EQ(original.TopK(40), BruteTopK(original, 40));
+
+  BatchView move_assigned = TiedView(40, TestSeed() ^ 0xc3);
+  move_assigned.TopK(5);
+  move_assigned = std::move(moved);
+  EXPECT_EQ(move_assigned.TopK(20), expected);
+  EXPECT_EQ(moved.TopK(20), BruteTopK(moved, 20));
+}
+
+TEST(BatchViewTopKTest, RestoredViewsRankTheirOwnTotals) {
+  BatchView view = TiedView(300, TestSeed() ^ 0xd0);
+  view.distinct_keys_blob = state::ToBlob(HyperLogLog(12));
+  view.TopK(10);
+  platform::KvCheckpointStore store;
+  view.SnapshotTo(&store, "v");
+  Result<BatchView> restored = BatchView::RestoreFrom(store, "v");
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectTopKMatchesBrute(restored.value());
+  EXPECT_EQ(restored.value().TopK(300), view.TopK(300));
+
+  // LoadViews replaces a view that was already ranked.
+  LambdaPipeline source(SmallConfig());
+  for (int i = 0; i < 2000; i++) {
+    source.Ingest(i, NumberedKey("saved", i % 70), 1.0 + i % 7);
+  }
+  source.RunBatchNow();
+  const std::string path = ::testing::TempDir() + "topk_index_views.bin";
+  ASSERT_TRUE(source.SaveViews(path).ok());
+
+  LambdaPipeline target(SmallConfig());
+  for (int i = 0; i < 500; i++) {
+    target.Ingest(i, NumberedKey("stale", i % 20), 100.0);
+  }
+  target.RunBatchNow();
+  ASSERT_EQ(target.serving().CurrentBatchView()->TopK(1).front().first
+                .rfind("stale", 0),
+            0u);
+  ASSERT_TRUE(target.LoadViews(path).ok());
+  const auto loaded = target.serving().CurrentBatchView();
+  EXPECT_EQ(loaded->TopK(70), BruteTopK(*loaded, 70));
+  EXPECT_EQ(loaded->TopK(70),
+            source.serving().CurrentBatchView()->TopK(70));
+}
+
+TEST(BatchViewTopKTest, RecomputedViewRanksItsOwnTotals) {
+  LambdaPipeline pipeline(SmallConfig());
+  for (int i = 0; i < 1000; i++) {
+    pipeline.Ingest(i, NumberedKey("key", i % 10), 1.0 + i % 10);
+  }
+  pipeline.RunBatchNow();
+  const auto first = pipeline.serving().CurrentBatchView();
+  ASSERT_EQ(first->TopK(1).front().first, "key9");
+  ASSERT_EQ(pipeline.QueryTopK(3).front().first, "key9");
+
+  // Reverse the order, then recompute: the new view must not answer from
+  // the first view's ranking.
+  for (int i = 0; i < 1000; i++) {
+    pipeline.Ingest(i, NumberedKey("key", i % 10), 40.0 - 4 * (i % 10));
+  }
+  pipeline.RunBatchNow();
+  const auto second = pipeline.serving().CurrentBatchView();
+  ASSERT_NE(second.get(), first.get());
+  EXPECT_EQ(second->TopK(10), BruteTopK(*second, 10));
+  EXPECT_EQ(second->TopK(1).front().first, "key0");
+  EXPECT_EQ(first->TopK(1).front().first, "key9");
 }
 
 }  // namespace

@@ -1196,6 +1196,23 @@ TEST(BlobEnvelopeTest, MalformedPayloadsAreCorruptionNotUb) {
     w.PutVarint(1);    // bucket count
     w.PutVarint(49);   // newest_position
     w.PutVarint(3);    // size: not a power of two
+    w.PutVarint(2);    // newest - oldest position
+    const auto blob = WrapPayload(state::TypeId::kExponentialHistogram,
+                                  ExponentialHistogram::kStateVersion,
+                                  w.TakeBytes());
+    EXPECT_EQ(state::FromBlob<ExponentialHistogram>(blob).status().code(),
+              StatusCode::kCorruption);
+  }
+  {
+    // Exponential histogram whose oldest position would precede position 1.
+    ByteWriter w;
+    w.PutVarint(128);  // window
+    w.PutU32(4);       // k
+    w.PutVarint(50);   // position
+    w.PutVarint(1);    // bucket count
+    w.PutVarint(49);   // newest_position
+    w.PutVarint(4);    // size
+    w.PutVarint(49);   // newest - oldest position: oldest would be 0
     const auto blob = WrapPayload(state::TypeId::kExponentialHistogram,
                                   ExponentialHistogram::kStateVersion,
                                   w.TakeBytes());

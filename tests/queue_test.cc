@@ -1,6 +1,7 @@
 // Tests for the transport primitives: BlockingQueue batch operations and
-// the SPSC ring buffer, including concurrent conservation/order checks and
-// close-while-full / close-while-empty races.
+// the SPSC ring buffer, including concurrent conservation/order checks,
+// the ring's park/wake handshake on both sides, and close-while-full /
+// close-while-empty races.
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,6 +17,7 @@
 namespace streamlib::platform {
 namespace {
 
+using std::chrono::microseconds;
 using std::chrono::milliseconds;
 
 // ---------------------------------------------------------------------------
@@ -277,6 +279,39 @@ TEST(SpscRingTest, ConcurrentStreamConservesCountAndOrder) {
   }
   producer.join();
   EXPECT_EQ(expected, kN);
+}
+
+// Bursts separated by sleeps far longer than the ring's spin budget, so the
+// idle side parks on every gap: after an even burst the producer sleeps and
+// the consumer parks on an empty ring; during an odd burst the consumer
+// sleeps after each pop and the producer parks on a full one.
+TEST(SpscRingTest, StopAndGoBurstsParkBothSidesAndConserveOrder) {
+  constexpr uint64_t kBursts = 60;
+  constexpr uint64_t kBurst = 24;  // Three ring-fulls: the producer must wait.
+  SpscRing<uint64_t> ring(8);
+  std::thread producer([&] {
+    uint64_t next = 0;
+    for (uint64_t b = 0; b < kBursts; b++) {
+      std::vector<uint64_t> burst;
+      for (uint64_t i = 0; i < kBurst; i++) burst.push_back(next++);
+      ASSERT_EQ(ring.PushAll(std::span<uint64_t>(burst)), kBurst);
+      if (b % 2 == 0) std::this_thread::sleep_for(microseconds(300));
+    }
+    ring.Close();
+  });
+  uint64_t expected = 0;
+  std::vector<uint64_t> chunk;
+  while (true) {
+    chunk.clear();
+    const size_t n = ring.PopBatch(chunk, 5);
+    if (n == 0) break;
+    for (uint64_t v : chunk) ASSERT_EQ(v, expected++);
+    if ((chunk.front() / kBurst) % 2 == 1) {
+      std::this_thread::sleep_for(microseconds(300));
+    }
+  }
+  producer.join();
+  EXPECT_EQ(expected, kBursts * kBurst);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -112,6 +113,38 @@ TEST(ExponentialHistogramTest, SpaceIsLogarithmic) {
   for (int i = 0; i < (1 << 21); i++) eh.Add(stream.Next());
   // O(k log W): ~ 8 * 20 = 160 buckets, far below the 2^19 ones in window.
   EXPECT_LT(eh.NumBuckets(), 400u);
+}
+
+// Shards on a shared timeline (each 1 owned by one shard) interleave their
+// buckets when merged, so a bucket other than the oldest can straddle the
+// window start. The merged bounds must still bracket the true count.
+TEST(ExponentialHistogramTest, MergedShardsBracketTheTrueCount) {
+  const uint64_t kWindow = 256;
+  for (uint64_t round = 0; round < 200; round++) {
+    Rng rng(round);
+    const uint32_t k = 1 + static_cast<uint32_t>(rng.NextBounded(4));
+    const size_t shards = 2 + rng.NextBounded(3);
+    const uint64_t density = 2 + rng.NextBounded(8);  // 1 in density is a 1.
+    std::vector<ExponentialHistogram> parts(shards,
+                                            ExponentialHistogram(kWindow, k));
+    ExactWindowCounter exact(kWindow);
+    const uint64_t length = kWindow + rng.NextBounded(4 * kWindow);
+    for (uint64_t i = 0; i < length; i++) {
+      const bool bit = rng.NextBounded(density) == 0;
+      const size_t owner = rng.NextBounded(shards);
+      for (size_t s = 0; s < shards; s++) parts[s].Add(bit && s == owner);
+      exact.Add(bit);
+    }
+    ExponentialHistogram merged(kWindow, k);
+    for (const ExponentialHistogram& part : parts) {
+      ASSERT_TRUE(merged.Merge(part).ok());
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    EXPECT_LE(merged.LowerBound(), exact.Count());
+    EXPECT_GE(merged.UpperBound(), exact.Count());
+    EXPECT_GE(merged.Estimate(), merged.LowerBound());
+    EXPECT_LE(merged.Estimate(), merged.UpperBound());
+  }
 }
 
 // K sweep: error must shrink as k grows.
