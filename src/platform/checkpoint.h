@@ -1,14 +1,17 @@
 #ifndef STREAMLIB_PLATFORM_CHECKPOINT_H_
 #define STREAMLIB_PLATFORM_CHECKPOINT_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "common/serde.h"
 #include "common/status.h"
 
 namespace streamlib::platform {
@@ -105,8 +108,26 @@ class KvCheckpointStore {
 /// "exactly once semantics by checkpointing state every time" — concretely,
 /// each (producer, sequence) id is recorded alongside the state mutation so
 /// a redelivered record (the at-least-once engine *will* redeliver after
-/// failures) is recognized and dropped. Bounded memory via a per-producer
-/// low-watermark: ids below it are trivially duplicates.
+/// failures) is recognized and dropped.
+///
+/// Memory and snapshot cost: each producer keeps a low-watermark (every id
+/// below it was applied) and a flat ascending run of the applied ids above
+/// it, 8 bytes per retained id. The watermark only helps a dense
+/// per-producer sequence, where ids arrive near order and the run stays
+/// short. A sparse subsequence never advances it — KeyGroupedSketchBolt
+/// records every payload under producer 0 and each key group sees roughly
+/// one id in kNumKeyGroups — so there every applied id is retained, and a
+/// snapshot is O(retained): one bulk copy per producer.
+///
+/// Per id: the next id at the watermark advances it; an id above the
+/// newest retained one is appended (the steady state of a key group); a
+/// duplicate is found by binary search; an out-of-order new id (a replay)
+/// is parked in a side run, O(log) per insert, folded into the flat run
+/// once the side run is as large as it.
+///
+/// The serialized form is canonical — producers ascending, each producer's
+/// ids ascending — so two ledgers holding the same ids write the same
+/// bytes whatever order the ids arrived in.
 ///
 /// Not internally synchronized: a ledger belongs to one bolt task, whose
 /// Execute calls the engine already serializes.
@@ -119,35 +140,66 @@ class DedupLedger {
   bool CheckAndRecord(uint64_t producer, uint64_t sequence) {
     State& state = producers_[producer];
     if (sequence < state.watermark) return false;
-    if (!state.seen.insert(sequence).second) return false;
-    // Advance the watermark over the contiguous prefix and forget it.
-    while (state.seen.count(state.watermark) != 0) {
-      state.seen.erase(state.watermark);
+    if (sequence == state.watermark) {
       state.watermark++;
+      if (state.size() != 0) state.Absorb();
+      return true;
     }
-    return true;
+    if (sequence > state.Newest()) {
+      state.ids.push_back(sequence);
+      return true;
+    }
+    return state.RecordOutOfOrder(sequence);
   }
 
   /// Ids retained above all watermarks (memory diagnostic).
   size_t RetainedIds() const {
     size_t total = 0;
-    for (const auto& [producer, state] : producers_) {
-      total += state.seen.size();
-    }
+    for (const auto& [producer, state] : producers_) total += state.size();
     return total;
   }
 
-  /// Serialization for inclusion in checkpoints.
+  /// Serialization for inclusion in checkpoints: varint producer count,
+  /// then per producer u64 id, u64 watermark, varint id count and the ids
+  /// as little-endian u64s.
   std::vector<uint8_t> Serialize() const;
+  /// Appends the Serialize bytes to `w` (no framing, no temporary buffer).
+  void SerializeTo(ByteWriter& w) const;
+  /// Exact length of the Serialize bytes, for callers that length-prefix
+  /// a SerializeTo in place.
+  size_t SerializedSize() const;
+  /// Accepts any id order (frames written by the former hash-set ledger
+  /// list ids in hash order) and restores the canonical form: ids sorted
+  /// and deduplicated, ids below the watermark dropped, the watermark
+  /// advanced over a contiguous prefix. Counts larger than the remaining
+  /// bytes allow are Corruption, checked before anything is allocated.
   static Result<DedupLedger> Deserialize(const std::vector<uint8_t>& bytes);
 
  private:
   struct State {
-    uint64_t watermark = 0;
-    std::unordered_set<uint64_t> seen;  // Ids >= watermark, non-contiguous.
+    uint64_t watermark = 0;     // Every id below it was applied.
+    std::vector<uint64_t> ids;  // Ascending, > watermark; live from `head`.
+    size_t head = 0;            // ids[0, head) were absorbed by the watermark.
+    std::set<uint64_t> parked;  // Out-of-order ids, disjoint from `ids`.
+
+    size_t live() const { return ids.size() - head; }
+    size_t size() const { return live() + parked.size(); }
+    /// Largest retained id (the watermark when none is).
+    uint64_t Newest() const {
+      const uint64_t newest = live() != 0 ? ids.back() : watermark;
+      return parked.empty() ? newest : std::max(newest, *parked.rbegin());
+    }
+    /// Advances the watermark over retained ids equal to it, then drops
+    /// the absorbed prefix of `ids` once it is half the vector.
+    void Absorb();
+    /// An id above the watermark and at most Newest(): a duplicate of a
+    /// retained id (false) or an out-of-order new one, parked (true).
+    bool RecordOutOfOrder(uint64_t sequence);
+    /// Live `ids` and `parked` merged, ascending.
+    std::vector<uint64_t> Merged() const;
   };
 
-  std::unordered_map<uint64_t, State> producers_;
+  std::map<uint64_t, State> producers_;  // Ordered: canonical bytes.
 };
 
 }  // namespace streamlib::platform

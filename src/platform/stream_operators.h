@@ -449,18 +449,21 @@ class KeyGroupedSketchBolt : public Bolt {
 
   /// Epoch frame: the grouped-state envelope (EncodeGroupedState), each
   /// group payload = [sketch SketchBlob][ledger bytes], both
-  /// length-prefixed. std::map iteration keeps the bytes deterministic.
+  /// length-prefixed. std::map iteration and the ledger's canonical form
+  /// keep the bytes deterministic.
   std::optional<std::vector<uint8_t>> SnapshotEpoch(uint64_t epoch) override {
     (void)epoch;
+    constexpr size_t kMaxVarintBytes = 10;
     std::map<uint32_t, std::vector<uint8_t>> grouped;
     for (const auto& [g, group] : groups_) {
-      ByteWriter w;
       const std::vector<uint8_t> sketch_blob = state::ToBlob(group.sketch);
+      const size_t ledger_size = group.ledger.SerializedSize();
+      ByteWriter w;
+      w.Reserve(2 * kMaxVarintBytes + sketch_blob.size() + ledger_size);
       w.PutVarint(sketch_blob.size());
       w.PutBytes(sketch_blob.data(), sketch_blob.size());
-      const std::vector<uint8_t> ledger = group.ledger.Serialize();
-      w.PutVarint(ledger.size());
-      w.PutBytes(ledger.data(), ledger.size());
+      w.PutVarint(ledger_size);
+      group.ledger.SerializeTo(w);
       grouped.emplace(g, std::move(w).TakeBytes());
     }
     return EncodeGroupedState(grouped);

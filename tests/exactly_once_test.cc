@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -15,6 +16,8 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -497,6 +500,201 @@ TEST(KeyGroupedSketchBoltTest, RestoreRejectsForeignGroupsWithoutRescale) {
   EXPECT_NE(status.ToString().find("rescaled"), std::string::npos);
 }
 
+// ------------------------------------------ DedupLedger ≡ reference model
+
+/// The ledger's contract in its plainest form: per producer, a watermark
+/// below which every id was applied plus the ordered set of applied ids
+/// above it. Encode() writes the canonical bytes the ledger must produce.
+class ModelLedger {
+ public:
+  bool CheckAndRecord(uint64_t producer, uint64_t sequence) {
+    Producer& p = producers_[producer];
+    if (sequence < p.watermark || !p.seen.insert(sequence).second) {
+      return false;
+    }
+    while (!p.seen.empty() && *p.seen.begin() == p.watermark) {
+      p.seen.erase(p.seen.begin());
+      p.watermark++;
+    }
+    return true;
+  }
+
+  size_t RetainedIds() const {
+    size_t total = 0;
+    for (const auto& [producer, p] : producers_) total += p.seen.size();
+    return total;
+  }
+
+  std::vector<uint8_t> Encode() const {
+    ByteWriter w;
+    w.PutVarint(producers_.size());
+    for (const auto& [producer, p] : producers_) {
+      w.PutU64(producer);
+      w.PutU64(p.watermark);
+      w.PutVarint(p.seen.size());
+      for (uint64_t id : p.seen) w.PutU64(id);
+    }
+    return w.TakeBytes();
+  }
+
+ private:
+  struct Producer {
+    uint64_t watermark = 0;
+    std::set<uint64_t> seen;
+  };
+  std::map<uint64_t, Producer> producers_;
+};
+
+using LedgerStream = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// Payloads 0..n-1 of one producer, each kept with probability `keep`
+/// (the rest never arrive), with a recent id re-sent at rate `dup`.
+LedgerStream OrderedStream(std::mt19937_64& rng, uint64_t producer,
+                           uint64_t n, double keep, double dup) {
+  std::bernoulli_distribution kept(keep);
+  std::bernoulli_distribution duplicated(dup);
+  LedgerStream out;
+  for (uint64_t id = 0; id < n; id++) {
+    if (!kept(rng)) continue;
+    out.emplace_back(producer, id);
+    if (duplicated(rng)) {
+      const uint64_t back = std::min<uint64_t>(id, rng() % 8);
+      out.emplace_back(producer, id - back);
+    }
+  }
+  return out;
+}
+
+/// What one key group of a KeyGroupedSketchBolt sees: the global payload
+/// sequence dealt over kNumKeyGroups groups, this group's share only.
+LedgerStream KeyGroupStream(std::mt19937_64& rng, uint64_t n) {
+  const uint64_t group = rng() % kNumKeyGroups;
+  LedgerStream out;
+  for (uint64_t id = 0; id < n; id++) {
+    if (HashOfValue(Value(static_cast<int64_t>(id)), kFieldsGroupingHashSeed) %
+            kNumKeyGroups ==
+        group) {
+      out.emplace_back(0, id);
+    }
+  }
+  return out;
+}
+
+/// Replays: a stream with ~15% of its ids withheld, then every withheld
+/// id plus a sample of applied ones re-sent in shuffled bursts, the way an
+/// at-least-once spout redelivers its owed payloads after a failure.
+LedgerStream ReplayStream(std::mt19937_64& rng, uint64_t producer,
+                          uint64_t n) {
+  std::bernoulli_distribution withheld(0.15);
+  std::bernoulli_distribution resent(0.1);
+  LedgerStream out;
+  LedgerStream burst;
+  for (uint64_t id = 0; id < n; id++) {
+    if (withheld(rng)) {
+      burst.emplace_back(producer, id);
+    } else {
+      out.emplace_back(producer, id);
+      if (resent(rng)) burst.emplace_back(producer, id);
+    }
+    if (burst.size() >= 40 || id + 1 == n) {
+      std::shuffle(burst.begin(), burst.end(), rng);
+      out.insert(out.end(), burst.begin(), burst.end());
+      burst.clear();
+    }
+  }
+  return out;
+}
+
+/// Several producers' streams interleaved at random, each keeping its own
+/// order.
+LedgerStream Interleave(std::mt19937_64& rng,
+                        const std::vector<LedgerStream>& streams) {
+  std::vector<size_t> next(streams.size(), 0);
+  LedgerStream out;
+  for (;;) {
+    std::vector<size_t> open;
+    for (size_t i = 0; i < streams.size(); i++) {
+      if (next[i] < streams[i].size()) open.push_back(i);
+    }
+    if (open.empty()) return out;
+    const size_t pick = open[rng() % open.size()];
+    out.push_back(streams[pick][next[pick]++]);
+  }
+}
+
+/// Drives the ledger and the model side by side, comparing every answer
+/// and the retained count at each step; at the midpoint the ledger is
+/// serialized, restored, and the restored copy must answer identically
+/// for the rest of the stream.
+void ExpectMatchesModel(const LedgerStream& stream, const std::string& what) {
+  DedupLedger ledger;
+  ModelLedger model;
+  std::optional<DedupLedger> restored;
+  for (size_t i = 0; i < stream.size(); i++) {
+    if (i == stream.size() / 2) {
+      const std::vector<uint8_t> bytes = ledger.Serialize();
+      ASSERT_EQ(bytes, model.Encode()) << what << " step " << i;
+      ASSERT_EQ(ledger.SerializedSize(), bytes.size()) << what;
+      Result<DedupLedger> decoded = DedupLedger::Deserialize(bytes);
+      ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.status().ToString();
+      restored = std::move(decoded).value();
+      ASSERT_EQ(restored->Serialize(), bytes) << what;
+    }
+    const auto [producer, id] = stream[i];
+    const bool expected = model.CheckAndRecord(producer, id);
+    ASSERT_EQ(ledger.CheckAndRecord(producer, id), expected)
+        << what << " step " << i << " producer " << producer << " id " << id;
+    if (restored.has_value()) {
+      ASSERT_EQ(restored->CheckAndRecord(producer, id), expected)
+          << what << " (restored) step " << i << " id " << id;
+    }
+    ASSERT_EQ(ledger.RetainedIds(), model.RetainedIds())
+        << what << " step " << i;
+  }
+  EXPECT_EQ(ledger.Serialize(), model.Encode()) << what;
+  ASSERT_TRUE(restored.has_value()) << what;
+  EXPECT_EQ(restored->Serialize(), model.Encode()) << what;
+}
+
+TEST(DedupLedgerModelTest, MatchesSetAndWatermarkModelOverSeededStreams) {
+  for (uint64_t i = 0; i < 8; i++) {
+    const uint64_t seed = TestSeed() ^ (0x1ed6'0000ULL + i);
+    std::mt19937_64 rng(seed);
+    const std::string tag = "seed " + std::to_string(seed);
+    ExpectMatchesModel(OrderedStream(rng, 0, 3000, 1.0, 0.05),
+                       tag + " in-order");
+    ExpectMatchesModel(KeyGroupStream(rng, 64 * 300), tag + " key-group");
+    ExpectMatchesModel(ReplayStream(rng, 0, 3000), tag + " replay");
+    LedgerStream reversed = OrderedStream(rng, 0, 2000, 0.5, 0.0);
+    std::reverse(reversed.begin(), reversed.end());
+    ExpectMatchesModel(reversed, tag + " reversed");
+    ExpectMatchesModel(
+        Interleave(rng, {OrderedStream(rng, 3, 1500, 0.9, 0.05),
+                         KeyGroupStream(rng, 64 * 100),
+                         ReplayStream(rng, 7, 1500),
+                         OrderedStream(rng, 1ULL << 40, 1500, 0.3, 0.1)}),
+        tag + " producers");
+  }
+}
+
+TEST(DedupLedgerModelTest, SameIdsInAnyOrderSerializeIdentically) {
+  std::mt19937_64 rng(TestSeed() ^ 0x1ed6'ffffULL);
+  LedgerStream ids = Interleave(rng, {OrderedStream(rng, 0, 4000, 0.2, 0.0),
+                                      OrderedStream(rng, 9, 4000, 0.7, 0.0)});
+  DedupLedger ascending;
+  for (const auto& [producer, id] : ids) {
+    ASSERT_TRUE(ascending.CheckAndRecord(producer, id));
+  }
+  std::shuffle(ids.begin(), ids.end(), rng);
+  DedupLedger shuffled;
+  for (const auto& [producer, id] : ids) {
+    ASSERT_TRUE(shuffled.CheckAndRecord(producer, id));
+  }
+  EXPECT_EQ(ascending.RetainedIds(), shuffled.RetainedIds());
+  EXPECT_GT(ascending.RetainedIds(), 0u);
+  EXPECT_EQ(ascending.Serialize(), shuffled.Serialize());
+}
+
 // --------------------------------------------- chaos-matrix test fixture
 
 /// Per-payload delivery counts merged across count-bolt tasks at Finish.
@@ -525,9 +723,8 @@ class EpochCountBolt : public Bolt {
     counts_[seq]++;
   }
 
-  /// Frame bytes are canonical (std::map order + the ledger, which is
-  /// order-free whenever the seen-set is empty) — the determinism torture
-  /// test compares them bit for bit.
+  /// Frame bytes are canonical (std::map order + the ledger's canonical
+  /// form) — the determinism torture test compares them bit for bit.
   std::optional<std::vector<uint8_t>> SnapshotEpoch(uint64_t epoch) override {
     (void)epoch;
     ByteWriter w;
@@ -858,10 +1055,10 @@ EpochFingerprint RunDeterminismChain(uint64_t fault_seed) {
   builder.AddBolt(
       "count",
       [holder]() -> std::unique_ptr<Bolt> {
-        // Dedup off: a DedupLedger's seen-set serializes in hash order, so
-        // canonical bytes require it empty — with at-most-once drops the
-        // payload sequence has holes and the set would be nonempty.
-        return std::make_unique<EpochCountBolt>(holder, /*dedup=*/false);
+        // Dedup on: at-most-once drops leave holes in the payload
+        // sequence, so the ledger retains ids and its canonical bytes are
+        // part of what must be bit-identical.
+        return std::make_unique<EpochCountBolt>(holder, /*dedup=*/true);
       },
       1, {{"relay", Grouping::Global()}});
 

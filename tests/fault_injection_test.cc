@@ -14,12 +14,16 @@
 #include <cstdio>
 #include <memory>
 #include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "chaos_util.h"
+#include "common/serde.h"
 #include "common/state.h"
 #include "core/frequency/count_min_sketch.h"
 #include "platform/checkpoint.h"
@@ -580,6 +584,131 @@ TEST(CheckpointRestoreEdgeTest, TruncatedDedupLedgerBytesAreRejected) {
     EXPECT_FALSE(DedupLedger::Deserialize(torn).ok()) << "cut=" << cut;
   }
   EXPECT_TRUE(DedupLedger::Deserialize(good).ok());
+
+  // Forged counts far beyond the bytes present are rejected up front, not
+  // looped over or reserved: a huge id count...
+  ByteWriter huge_ids;
+  huge_ids.PutVarint(1);
+  huge_ids.PutU64(1);
+  huge_ids.PutU64(0);
+  huge_ids.PutVarint(uint64_t{1} << 60);
+  huge_ids.PutU64(5);
+  Result<DedupLedger> forged = DedupLedger::Deserialize(huge_ids.TakeBytes());
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(forged.status().ToString().find("id count"), std::string::npos)
+      << forged.status().ToString();
+  // ...and a huge producer count.
+  ByteWriter huge_producers;
+  huge_producers.PutVarint(uint64_t{1} << 50);
+  huge_producers.PutU64(1);
+  huge_producers.PutU64(0);
+  huge_producers.PutVarint(0);
+  forged = DedupLedger::Deserialize(huge_producers.TakeBytes());
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(forged.status().ToString().find("producer count"),
+            std::string::npos)
+      << forged.status().ToString();
+  // A producer listed twice is not a frame any ledger writes.
+  ByteWriter twice;
+  twice.PutVarint(2);
+  for (int i = 0; i < 2; i++) {
+    twice.PutU64(1);
+    twice.PutU64(0);
+    twice.PutVarint(0);
+  }
+  forged = DedupLedger::Deserialize(twice.TakeBytes());
+  ASSERT_FALSE(forged.ok());
+  EXPECT_EQ(forged.status().code(), StatusCode::kCorruption);
+}
+
+/// The ledger as it was before ids were kept sorted: a watermark plus an
+/// unordered_set per producer, serialized in hash-iteration order. Frames
+/// it wrote are still in checkpoint stores and must keep restoring.
+class HashOrderLedger {
+ public:
+  bool CheckAndRecord(uint64_t producer, uint64_t sequence) {
+    Producer& p = producers_[producer];
+    if (sequence < p.watermark || !p.seen.insert(sequence).second) {
+      return false;
+    }
+    while (p.seen.erase(p.watermark) != 0) p.watermark++;
+    return true;
+  }
+
+  std::vector<uint8_t> Serialize() const {
+    ByteWriter w;
+    w.PutVarint(producers_.size());
+    for (const auto& [producer, p] : producers_) {
+      w.PutU64(producer);
+      w.PutU64(p.watermark);
+      w.PutVarint(p.seen.size());
+      for (uint64_t id : p.seen) w.PutU64(id);
+    }
+    return w.TakeBytes();
+  }
+
+ private:
+  struct Producer {
+    uint64_t watermark = 0;
+    std::unordered_set<uint64_t> seen;
+  };
+  std::unordered_map<uint64_t, Producer> producers_;
+};
+
+TEST(CheckpointRestoreEdgeTest, HashOrderLedgerFrameRestoresAndDeduplicates) {
+  // Three producers with sparse, out-of-order ids, recorded by the legacy
+  // hash-set ledger and by the current one from the same stream.
+  std::mt19937_64 rng(TestSeed() ^ 0x1e9a);
+  HashOrderLedger legacy;
+  DedupLedger current;
+  constexpr uint64_t kMaxId = 2000;
+  for (int i = 0; i < 3000; i++) {
+    const uint64_t producer = rng() % 3;
+    const uint64_t id = rng() % kMaxId;
+    ASSERT_EQ(current.CheckAndRecord(producer, id),
+              legacy.CheckAndRecord(producer, id));
+  }
+  const std::vector<uint8_t> legacy_bytes = legacy.Serialize();
+  const std::vector<uint8_t> canonical = current.Serialize();
+  // Same length, different order: the restore must do the sorting.
+  ASSERT_EQ(legacy_bytes.size(), canonical.size());
+  ASSERT_NE(legacy_bytes, canonical);
+
+  Result<DedupLedger> restored = DedupLedger::Deserialize(legacy_bytes);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value().Serialize(), canonical);
+  EXPECT_EQ(restored.value().RetainedIds(), current.RetainedIds());
+  for (uint64_t producer = 0; producer < 4; producer++) {
+    for (uint64_t id = 0; id < kMaxId + 10; id++) {
+      const bool expected = legacy.CheckAndRecord(producer, id);
+      ASSERT_EQ(restored.value().CheckAndRecord(producer, id), expected)
+          << "producer " << producer << " id " << id;
+      ASSERT_EQ(current.CheckAndRecord(producer, id), expected);
+    }
+  }
+}
+
+TEST(CheckpointRestoreEdgeTest, DedupLedgerRestoreCanonicalizesIds) {
+  // Duplicates, ids below the watermark and ids that continue it: the
+  // restored ledger drops the first two and absorbs the third.
+  ByteWriter w;
+  w.PutVarint(1);
+  w.PutU64(4);   // producer
+  w.PutU64(10);  // watermark
+  w.PutVarint(6);
+  for (uint64_t id : {15u, 3u, 11u, 10u, 15u, 20u}) w.PutU64(id);
+  Result<DedupLedger> restored = DedupLedger::Deserialize(w.TakeBytes());
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  DedupLedger& ledger = restored.value();
+  EXPECT_EQ(ledger.RetainedIds(), 2u);  // 15 and 20; watermark now 12.
+  for (uint64_t id : {3u, 10u, 11u, 15u, 20u}) {
+    EXPECT_FALSE(ledger.CheckAndRecord(4, id)) << id;
+  }
+  for (uint64_t id : {12u, 13u, 14u, 16u, 21u}) {
+    EXPECT_TRUE(ledger.CheckAndRecord(4, id)) << id;
+  }
 }
 
 // ------------------------------------------------------ telemetry surface
