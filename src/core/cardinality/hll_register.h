@@ -1,10 +1,12 @@
 // HyperLogLog register helpers shared by HyperLogLog, LogLogCounter and
 // SlidingHyperLogLog: where a 64-bit digest lands (register index + rho
-// rank), the bias-correction constant alpha_m, and the cardinality estimate
-// from a harmonic register sum with the small-range linear-counting switch.
+// rank), the bias-correction constant alpha_m, the harmonic register sum
+// (from a table of 2^-r, no libm call per register), and the cardinality
+// estimate with the small-range linear-counting switch.
 #ifndef STREAMLIB_CORE_CARDINALITY_HLL_REGISTER_H_
 #define STREAMLIB_CORE_CARDINALITY_HLL_REGISTER_H_
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 
@@ -56,6 +58,36 @@ inline double EstimateFromRegisterSum(uint32_t m, double inverse_sum,
   // 64-bit hashing: no large-range correction required (HLL++ observation).
   return raw;
 }
+
+/// 2^-r for every rank a uint8_t register can hold. Every entry is a power
+/// of two well inside the normal double range, so each equals
+/// std::ldexp(1.0, -r) exactly.
+inline constexpr std::array<double, 256> kInversePow2 = [] {
+  std::array<double, 256> table{};
+  double value = 1.0;
+  for (double& entry : table) {
+    entry = value;
+    value *= 0.5;
+  }
+  return table;
+}();
+
+/// The harmonic register sum sum_j 2^-M[j] and the empty-register count,
+/// accumulated one register at a time in the caller's order. Summing table
+/// entries in the same order as ldexp values gives a bit-identical sum.
+struct RegisterSum {
+  double inverse_sum = 0.0;
+  uint32_t zeros = 0;
+
+  void Add(uint8_t rank) {
+    inverse_sum += kInversePow2[rank];
+    zeros += rank == 0 ? 1 : 0;
+  }
+
+  double Estimate(uint32_t m) const {
+    return EstimateFromRegisterSum(m, inverse_sum, zeros);
+  }
+};
 
 }  // namespace streamlib::hll
 

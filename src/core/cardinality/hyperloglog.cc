@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 #include "common/bitutil.h"
 #include "common/check.h"
@@ -163,14 +162,9 @@ double HyperLogLog::Estimate() const {
 }
 
 double HyperLogLog::EstimateDense() const {
-  const uint32_t m = num_registers();
-  double inverse_sum = 0.0;
-  uint32_t zeros = 0;
-  for (uint8_t r : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
-    if (r == 0) zeros++;
-  }
-  return hll::EstimateFromRegisterSum(m, inverse_sum, zeros);
+  hll::RegisterSum sum;
+  for (uint8_t r : registers_) sum.Add(r);
+  return sum.Estimate(num_registers());
 }
 
 Status HyperLogLog::Merge(const HyperLogLog& other) {

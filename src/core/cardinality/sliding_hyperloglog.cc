@@ -1,7 +1,6 @@
 #include "core/cardinality/sliding_hyperloglog.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/check.h"
 #include "core/cardinality/hll_register.h"
@@ -41,10 +40,7 @@ void SlidingHyperLogLog::AddHashBatch(std::span<const uint64_t> hashes,
 double SlidingHyperLogLog::Estimate(uint64_t now, uint64_t window) const {
   STREAMLIB_CHECK_MSG(window >= 1 && window <= max_window_,
                       "window out of range");
-  const uint32_t m = uint32_t{1} << precision_;
-
-  double inverse_sum = 0.0;
-  uint32_t zeros = 0;
+  hll::RegisterSum sum;
   for (const auto& lfpm : registers_) {
     // Ranks within an LFPM are strictly decreasing in time, so the first
     // unexpired entry carries the window maximum. An entry is in the window
@@ -56,11 +52,9 @@ double SlidingHyperLogLog::Estimate(uint64_t now, uint64_t window) const {
         break;
       }
     }
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(best));
-    if (best == 0) zeros++;
+    sum.Add(best);
   }
-
-  return hll::EstimateFromRegisterSum(m, inverse_sum, zeros);
+  return sum.Estimate(uint32_t{1} << precision_);
 }
 
 Status SlidingHyperLogLog::Merge(const SlidingHyperLogLog& other) {

@@ -16,6 +16,18 @@ std::string DistinctKey(const std::string& prefix) {
   return prefix + "/distinct_keys";
 }
 std::string MetaKey(const std::string& prefix) { return prefix + "/meta"; }
+
+// Adds log[from, to) to `view`'s totals and to `distinct`, in offset order,
+// and moves the view's end to `to`.
+void Fold(const MasterLog& log, uint64_t from, uint64_t to, BatchView* view,
+          HyperLogLog* distinct) {
+  log.ForEach(from, to, [view, distinct](const LogRecord& r) {
+    view->key_totals[r.key] += r.value;
+    distinct->Add(r.key);
+  });
+  view->through_offset = to;
+  view->distinct_keys_blob = state::ToBlob(*distinct);
+}
 }  // namespace
 
 double BatchView::TotalOf(const std::string& key) const {
@@ -99,6 +111,27 @@ Result<BatchView> BatchView::RestoreFrom(
   return view;
 }
 
+BatchView BatchLayer::Extend(const BatchView& base,
+                             const MasterLog& log) const {
+  const uint64_t end = log.size();
+  STREAMLIB_CHECK_MSG(base.through_offset <= end,
+                      "batch base covers %llu records, the log holds %llu",
+                      static_cast<unsigned long long>(base.through_offset),
+                      static_cast<unsigned long long>(end));
+  HyperLogLog distinct(12);
+  if (!base.distinct_keys_blob.empty()) {
+    Result<HyperLogLog> decoded =
+        state::FromBlob<HyperLogLog>(base.distinct_keys_blob);
+    STREAMLIB_CHECK_MSG(decoded.ok(), "batch base distinct blob: %s",
+                        decoded.status().ToString().c_str());
+    distinct = std::move(decoded).value();
+  }
+  BatchView view;
+  view.key_totals = base.key_totals;
+  Fold(log, base.through_offset, end, &view, &distinct);
+  return view;
+}
+
 BatchView BatchLayer::Recompute(const MasterLog& log) const {
   return RecomputePrefix(log, log.size());
 }
@@ -106,15 +139,9 @@ BatchView BatchLayer::Recompute(const MasterLog& log) const {
 BatchView BatchLayer::RecomputePrefix(const MasterLog& log,
                                       uint64_t through_offset) const {
   BatchView view;
-  view.through_offset = std::min<uint64_t>(through_offset, log.size());
-  std::vector<LogRecord> records;
-  log.Read(0, view.through_offset, &records);
   HyperLogLog distinct(12);
-  for (const LogRecord& r : records) {
-    view.key_totals[r.key] += r.value;
-    distinct.Add(r.key);
-  }
-  view.distinct_keys_blob = state::ToBlob(distinct);
+  Fold(log, 0, std::min<uint64_t>(through_offset, log.size()), &view,
+       &distinct);
   return view;
 }
 

@@ -90,18 +90,28 @@ struct BatchView {
   mutable Ranking ranking_;
 };
 
-/// The batch layer: recomputes a BatchView from scratch over the current
-/// master-log prefix. Recomputation latency is what the Lambda Architecture
-/// trades against freshness — the F1 bench measures staleness by
-/// controlling how often this runs.
+/// The batch layer: builds each BatchView by folding the records that are
+/// new since the previous view onto that view (DESIGN.md §14). How often it
+/// runs is what the Lambda Architecture trades against freshness — the F1
+/// bench measures staleness by controlling it.
 class BatchLayer {
  public:
   BatchLayer() = default;
 
-  /// Full recompute over log[0, log.size()). O(prefix length).
+  /// The next view of `log`: a copy of `base` with log[base.through_offset,
+  /// log.size()) folded in, in offset order. O(new records + keys).
+  /// `base` must cover a prefix of this same log — an empty BatchView or
+  /// an earlier Extend of it, never a view restored from another process's
+  /// image. The result is then bit-identical to RecomputePrefix(log,
+  /// log.size()): per-key sums run in the same order, and HLL registers are
+  /// a max.
+  BatchView Extend(const BatchView& base, const MasterLog& log) const;
+
+  /// From-scratch recompute over log[0, log.size()). O(prefix length); the
+  /// reference Extend is tested against, not a serving path.
   BatchView Recompute(const MasterLog& log) const;
 
-  /// Recompute over an explicit prefix log[0, through_offset).
+  /// From-scratch recompute over an explicit prefix log[0, through_offset).
   BatchView RecomputePrefix(const MasterLog& log,
                             uint64_t through_offset) const;
 };

@@ -34,7 +34,8 @@ LambdaPipeline::LambdaPipeline(const LambdaConfig& config)
     : config_(config),
       speed_(config.cms_width, config.cms_depth, config.topk_capacity,
              config.hll_precision, config.speed_snapshot_interval_records),
-      serving_(&speed_) {
+      serving_(&speed_),
+      base_(serving_.CurrentBatchView()) {
   const Status status = config.Validate();
   STREAMLIB_CHECK_MSG(status.ok(), "invalid LambdaConfig: %s",
                       status.ToString().c_str());
@@ -43,6 +44,14 @@ LambdaPipeline::LambdaPipeline(const LambdaConfig& config)
 void LambdaPipeline::Ingest(int64_t timestamp, const std::string& key,
                             double value) {
   std::lock_guard<std::mutex> lock(writer_mu_);
+  if (restored_through_ > 0) {
+    STREAMLIB_CHECK_MSG(
+        log_.size() >= restored_through_,
+        "Ingest after LoadViews: the restored views cover %llu records but "
+        "the log holds %llu, so new offsets would repeat covered ones",
+        static_cast<unsigned long long>(restored_through_),
+        static_cast<unsigned long long>(log_.size()));
+  }
   const uint64_t offset = log_.Append(timestamp, key, value);
   LogRecord record;
   record.offset = offset;
@@ -53,8 +62,8 @@ void LambdaPipeline::Ingest(int64_t timestamp, const std::string& key,
     serving_.RefreshSpeedView();  // A fresh SpeedView was published.
   }
 
-  if (log_.size() - serving_.BatchThroughOffset() >=
-      config_.batch_interval_records) {
+  // base_ covers a prefix of log_, so the difference cannot wrap.
+  if (offset + 1 - base_->through_offset >= config_.batch_interval_records) {
     RunBatchNowLocked();
   }
 }
@@ -65,18 +74,21 @@ void LambdaPipeline::RunBatchNow() {
 }
 
 void LambdaPipeline::RunBatchNowLocked() {
-  BatchView view = batch_.Recompute(log_);
-  const uint64_t covered = view.through_offset;
+  // Writers hold writer_mu_, so log_ cannot grow during the fold. With no
+  // new records, base_ already covers the whole log and is re-installed.
+  if (log_.size() > base_->through_offset) {
+    base_ = std::make_shared<const BatchView>(batch_.Extend(*base_, log_));
+  }
   // Hand-off order matters: reset the speed layer to the batch boundary
   // first (publishing an empty suffix view), then install the batch view,
   // which composes the new (batch, speed) pair in ONE atomic snapshot swap.
   // Readers either see the old pair (old batch + old suffix) or the new
   // pair (new batch + empty suffix) — never a torn mix. Writers are
   // serialized on writer_mu_, so no record can be ingested between the
-  // recompute and the reset (the data-loss race the unserialized hand-off
-  // had).
-  speed_.Reset(covered);
-  serving_.InstallBatchView(std::move(view));
+  // fold and the reset (the data-loss race the unserialized hand-off had).
+  speed_.Reset(base_->through_offset);
+  serving_.InstallBatchView(base_);
+  restored_through_ = 0;
   batch_recomputes_++;
 }
 
@@ -105,9 +117,12 @@ Status LambdaPipeline::LoadViews(const std::string& path) {
   // RestoreFrom validates every blob before mutating, so ordering it first
   // means a corrupt file cannot leave the pipeline half-restored. The
   // restore publishes a fresh SpeedView; InstallBatchView then pairs it
-  // with the restored batch view in one snapshot swap.
+  // with the restored batch view in one snapshot swap. base_ stays: the
+  // restored view need not describe log_.
   STREAMLIB_RETURN_NOT_OK(speed_.RestoreFrom(store, "speed"));
-  serving_.InstallBatchView(std::move(view).value());
+  serving_.InstallBatchView(
+      std::make_shared<const BatchView>(std::move(view).value()));
+  restored_through_ = serving_.Snapshot()->through_offset();
   return Status::OK();
 }
 

@@ -2,6 +2,7 @@
 #define STREAMLIB_LAMBDA_LAMBDA_PIPELINE_H_
 
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -40,8 +41,9 @@ struct LambdaConfig {
 /// The full Lambda Architecture of Figure 1, wired end to end:
 ///   1. Ingest() dispatches each event to both the batch layer's master log
 ///      and the speed layer.
-///   2-3. The batch layer periodically recomputes exact batch views over the
-///      immutable log, which the serving layer indexes.
+///   2-3. The batch layer periodically extends its exact batch view over
+///      the immutable log, folding in only the records that are new since
+///      the last view; the serving layer indexes it.
 ///   4. The speed layer covers only the records the current batch view has
 ///      not seen, with the Section-2 sketches.
 ///   5. Queries merge batch + real-time views.
@@ -60,7 +62,8 @@ class LambdaPipeline {
   /// Ingests one event into both paths (Figure 1, step 1).
   void Ingest(int64_t timestamp, const std::string& key, double value);
 
-  /// Forces a batch recompute over the entire current log.
+  /// Forces a batch view over the entire current log: folds the records
+  /// added since the last one this pipeline built and hands off to it.
   void RunBatchNow();
 
   /// Forces publication of a fresh speed view + serving snapshot, so the
@@ -76,7 +79,10 @@ class LambdaPipeline {
   /// Restores views written by SaveViews. The master log itself is NOT
   /// restored (it is the immutable dataset; callers re-attach or replay it
   /// separately) — only the derived views. Corrupt files leave the pipeline
-  /// untouched.
+  /// untouched. The restored views serve queries read-only: an Ingest while
+  /// they cover more records than this pipeline's log holds aborts (it
+  /// would reuse offsets the views already count), and the next batch view
+  /// is built from this pipeline's own log, not from the restored one.
   Status LoadViews(const std::string& path);
 
   /// Merged query interface (Figure 1, step 5). Lock-free: each call runs
@@ -122,6 +128,13 @@ class LambdaPipeline {
   /// take it.
   mutable std::mutex writer_mu_;
   uint64_t batch_recomputes_ = 0;
+  /// The last batch view built from log_: what the next one extends. Never
+  /// a view restored by LoadViews, which may cover another log.
+  std::shared_ptr<const BatchView> base_;
+  /// Records covered by views restored by LoadViews and not yet replaced by
+  /// a batch hand-off; 0 otherwise. Ingest requires log_ to hold at least
+  /// this many records.
+  uint64_t restored_through_ = 0;
 };
 
 }  // namespace streamlib::lambda

@@ -16,9 +16,7 @@ uint64_t MasterLog::size() const {
 
 void MasterLog::Read(uint64_t from, uint64_t to,
                      std::vector<LogRecord>* out) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t end = std::min<uint64_t>(to, records_.size());
-  for (uint64_t i = from; i < end; i++) out->push_back(records_[i]);
+  ForEach(from, to, [out](const LogRecord& record) { out->push_back(record); });
 }
 
 Result<LogRecord> MasterLog::Get(uint64_t offset) const {

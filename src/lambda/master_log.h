@@ -1,6 +1,7 @@
 #ifndef STREAMLIB_LAMBDA_MASTER_LOG_H_
 #define STREAMLIB_LAMBDA_MASTER_LOG_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -19,8 +20,8 @@ struct LogRecord {
 };
 
 /// The Lambda Architecture's *master dataset* (Figure 1, step 2): an
-/// immutable, append-only record log. Batch layer recomputations read a
-/// consistent prefix snapshot; the speed layer tails new appends. Thread-safe.
+/// immutable, append-only record log. The batch layer folds each new range
+/// of it in place; the speed layer tails new appends. Thread-safe.
 ///
 /// Substitution note (DESIGN.md §2): stands in for the HDFS/Kafka-backed
 /// master dataset of production Lambda deployments; append-only + offset
@@ -41,6 +42,17 @@ class MasterLog {
   /// Copies records with offsets in [from, to) into `out`. `to` may exceed
   /// size(); reads are bounded to the current end.
   void Read(uint64_t from, uint64_t to, std::vector<LogRecord>* out) const;
+
+  /// Calls `visit(record)` for each record with offset in [from, to), in
+  /// offset order, reading the log in place: no record is copied. `to` may
+  /// exceed size(). Runs under the log's mutex, so `visit` must not call
+  /// back into this log, and appends wait until the visit returns.
+  template <typename Visit>
+  void ForEach(uint64_t from, uint64_t to, Visit&& visit) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    const uint64_t end = std::min<uint64_t>(to, records_.size());
+    for (uint64_t i = from; i < end; i++) visit(records_[i]);
+  }
 
   /// Reads a single record.
   Result<LogRecord> Get(uint64_t offset) const;

@@ -60,10 +60,10 @@ void ServingLayer::PublishLocked(std::shared_ptr<const BatchView> batch,
   snap_.store(std::shared_ptr<const ServingSnapshot>(std::move(snap)));
 }
 
-void ServingLayer::InstallBatchView(BatchView view) {
-  auto shared = std::make_shared<const BatchView>(std::move(view));
+void ServingLayer::InstallBatchView(std::shared_ptr<const BatchView> view) {
+  STREAMLIB_CHECK(view != nullptr);
   std::lock_guard<std::mutex> lock(compose_mu_);
-  PublishLocked(std::move(shared), speed_->View());
+  PublishLocked(std::move(view), speed_->View());
 }
 
 void ServingLayer::RefreshSpeedView() {

@@ -63,7 +63,7 @@ class ServingLayer {
   /// pair satisfies batch.through_offset == speed.from_offset; readers
   /// never observe the new batch view with the old suffix (double counts)
   /// or the old batch view with the reset suffix (lost records).
-  void InstallBatchView(BatchView view);
+  void InstallBatchView(std::shared_ptr<const BatchView> view);
 
   /// Re-composes the current snapshot against the speed layer's latest
   /// published view (called after every speed-view publication). Stale

@@ -11,6 +11,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <sstream>
@@ -443,9 +445,23 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
   QueryFrontend frontend(&pipeline.serving(), fe_config);
   frontend.Start();
 
+  // Halfway through, the writer waits until the reader has compared two
+  // answers from one snapshot version. While it waits no version is
+  // published, so the comparison cannot depend on how the threads are
+  // scheduled; the bounded wait only keeps a broken reader from hanging
+  // the test (repeats then stays 0 and the final check fails).
   std::atomic<bool> done{false};
+  std::atomic<bool> compared{false};
   std::thread writer([&] {
     for (int i = 0; i < 8000; i++) {
+      if (i == 4000) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (!compared.load(std::memory_order_acquire) &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+      }
       pipeline.Ingest(i, NumberedKey("key", i % 5), 1.0);
     }
     done.store(true, std::memory_order_release);
@@ -465,6 +481,7 @@ TEST(QueryFrontendStressTest, SameVersionAnswersAreIdentical) {
       EXPECT_DOUBLE_EQ(r.value().value, last_value)
           << "two answers from snapshot v" << last_version << " differ";
       repeats++;
+      compared.store(true, std::memory_order_release);
     } else {
       EXPECT_GT(r.value().snapshot_version, last_version)
           << "snapshot version went backward";
@@ -641,6 +658,88 @@ TEST(BatchViewTopKTest, RecomputedViewRanksItsOwnTotals) {
   EXPECT_EQ(second->TopK(10), BruteTopK(*second, 10));
   EXPECT_EQ(second->TopK(1).front().first, "key0");
   EXPECT_EQ(first->TopK(1).front().first, "key9");
+}
+
+// ------------------------------------------------ incremental batch views
+
+// `got` equals `want` exactly: the same offset, every total with the same
+// bits, and the same distinct-key blob bytes.
+void ExpectIdenticalViews(const BatchView& got, const BatchView& want) {
+  EXPECT_EQ(got.through_offset, want.through_offset);
+  ASSERT_EQ(got.key_totals.size(), want.key_totals.size());
+  for (const auto& [key, total] : want.key_totals) {
+    const auto it = got.key_totals.find(key);
+    ASSERT_NE(it, got.key_totals.end()) << key;
+    EXPECT_EQ(std::bit_cast<uint64_t>(it->second),
+              std::bit_cast<uint64_t>(total))
+        << key << ": " << it->second << " vs " << total;
+  }
+  EXPECT_EQ(got.distinct_keys_blob, want.distinct_keys_blob);
+}
+
+// Each batch hand-off folds only the new records onto the last view the
+// pipeline built. Whatever the interval, however hand-offs interleave with
+// forced ones (with no and with one new record) and with a LoadViews of
+// another log's image, the installed view must cover the whole log and be
+// the from-scratch recompute of it, bit for bit. Non-integral values make
+// the sums depend on the order they run in.
+TEST(IncrementalBatchViewTest, EveryHandOffEqualsFromScratchRecompute) {
+  Rng rng(TestSeed() ^ 0xf01d);
+  const BatchLayer oracle;
+  for (int round = 0; round < 4; round++) {
+    // An image of a different log, covering fewer records than the
+    // pipeline below holds when it loads it.
+    LambdaPipeline other(SmallConfig());
+    for (int i = 0; i < 2000; i++) {
+      other.Ingest(i, NumberedKey("k", static_cast<int>(rng.NextBounded(50))),
+                   100.0 + rng.NextDouble());
+    }
+    other.RunBatchNow();
+    const std::string path = ::testing::TempDir() + "incremental_views.bin";
+    ASSERT_TRUE(other.SaveViews(path).ok());
+
+    LambdaConfig config;
+    config.batch_interval_records = 200 + rng.NextBounded(3000);
+    config.speed_snapshot_interval_records = 1 + rng.NextBounded(64);
+    SCOPED_TRACE("round " + std::to_string(round) + ", interval " +
+                 std::to_string(config.batch_interval_records));
+    LambdaPipeline pipeline(config);
+    uint64_t handoffs = 0;
+    auto expect_handoff = [&](const char* what) {
+      SCOPED_TRACE(what);
+      ASSERT_EQ(pipeline.batch_recomputes(), ++handoffs);
+      const auto view = pipeline.serving().CurrentBatchView();
+      EXPECT_EQ(view->through_offset, pipeline.log().size());
+      ExpectIdenticalViews(
+          *view, oracle.RecomputePrefix(pipeline.log(), view->through_offset));
+    };
+    const int kRecords = 12000;
+    const int forced = 1000 + static_cast<int>(rng.NextBounded(8000));
+    for (int i = 0; i < kRecords; i++) {
+      pipeline.Ingest(i,
+                      NumberedKey("k", static_cast<int>(rng.NextBounded(3000))),
+                      rng.NextDouble() * 10);
+      if (pipeline.batch_recomputes() != handoffs) expect_handoff("interval");
+      if (i == forced) {
+        pipeline.RunBatchNow();
+        expect_handoff("forced");
+        pipeline.RunBatchNow();
+        expect_handoff("forced, no new records");
+      }
+      if (i == forced + 1) {
+        pipeline.RunBatchNow();
+        expect_handoff("forced, one new record");
+      }
+      if (i == 7000) {
+        ASSERT_TRUE(pipeline.LoadViews(path).ok());
+        ASSERT_EQ(pipeline.serving().BatchThroughOffset(), 2000u);
+      }
+    }
+    pipeline.RunBatchNow();
+    expect_handoff("final");
+    EXPECT_EQ(pipeline.serving().BatchThroughOffset(),
+              static_cast<uint64_t>(kRecords));
+  }
 }
 
 }  // namespace

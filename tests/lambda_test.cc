@@ -242,5 +242,38 @@ TEST(LambdaPipelineTest, LoadViewsRejectsCorruptImageAtomically) {
   EXPECT_DOUBLE_EQ(restored.QueryTotal("live0"), before);
 }
 
+// Restored views that cover more records than the pipeline's own log hold
+// offsets the next Ingest would reuse: that Ingest must abort, not quietly
+// replace the views with a recompute of the short log.
+TEST(LambdaPipelineDeathTest, IngestBehindRestoredViewsAborts) {
+  LambdaConfig config;
+  config.speed_snapshot_interval_records = 1;
+  LambdaPipeline source(config);
+  for (int i = 0; i < 5000; i++) {
+    source.Ingest(i, NumberedKey("k", i % 12), 1.0 + i % 3);
+  }
+  source.RunBatchNow();
+  const std::string path = ::testing::TempDir() + "lambda_views_ahead.bin";
+  ASSERT_TRUE(source.SaveViews(path).ok());
+
+  LambdaPipeline restored(config);
+  ASSERT_TRUE(restored.LoadViews(path).ok());
+  const double total = source.QueryTotal("k1");
+  EXPECT_DOUBLE_EQ(restored.QueryTotal("k1"), total);
+  EXPECT_EQ(restored.serving().BatchThroughOffset(), 5000u);
+  EXPECT_DEATH(restored.Ingest(5000, "k1", 1.0), "Ingest after LoadViews");
+
+  // The restored image still serves reads.
+  EXPECT_DOUBLE_EQ(restored.QueryTotal("k1"), total);
+  EXPECT_EQ(restored.serving().BatchThroughOffset(), 5000u);
+
+  // A batch hand-off replaces the restored views with views of the
+  // pipeline's own (empty) log, after which ingest works again.
+  restored.RunBatchNow();
+  EXPECT_EQ(restored.serving().BatchThroughOffset(), 0u);
+  restored.Ingest(0, "k1", 1.0);
+  EXPECT_DOUBLE_EQ(restored.QueryTotal("k1"), 1.0);
+}
+
 }  // namespace
 }  // namespace streamlib::lambda

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/random.h"
 #include "common/serde.h"
 #include "common/state.h"
+#include "core/cardinality/hll_register.h"
 #include "core/cardinality/hyperloglog.h"
 #include "core/cardinality/kmv_sketch.h"
 #include "core/cardinality/linear_counter.h"
@@ -1278,6 +1280,117 @@ TEST(BlobEnvelopeTest, RandomGarbageNeverCrashesFromBlob) {
     mutated[rng.NextBounded(mutated.size())] ^=
         static_cast<uint8_t>(1 + rng.NextBounded(255));
     (void)state::FromBlob<SpaceSaving<std::string>>(mutated);
+  }
+}
+
+// ------------------------------------------------- Table-driven estimate
+//
+// Property: the dense HLL estimates read 2^-r from a table instead of
+// calling ldexp per register, and stay bit-identical to summing ldexp
+// values in register order — over random registers that include the
+// maximum rank a hash can produce and, for HyperLogLog, every byte value a
+// decoded blob can hold.
+
+// The harmonic sum and estimate as computed with ldexp per register.
+double LdexpInverseSum(const std::vector<uint8_t>& ranks) {
+  double inverse_sum = 0.0;
+  for (uint8_t r : ranks) inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+  return inverse_sum;
+}
+
+double LdexpEstimate(const std::vector<uint8_t>& ranks) {
+  const auto zeros = static_cast<uint32_t>(
+      std::count(ranks.begin(), ranks.end(), uint8_t{0}));
+  return hll::EstimateFromRegisterSum(static_cast<uint32_t>(ranks.size()),
+                                      LdexpInverseSum(ranks), zeros);
+}
+
+// 2^precision ranks drawn from [0, max_rank] with roughly `zero_share` of
+// them empty; max_rank itself lands on a random register.
+std::vector<uint8_t> RandomRanks(Rng& rng, int precision, int max_rank,
+                                 double zero_share) {
+  std::vector<uint8_t> ranks(size_t{1} << precision);
+  for (uint8_t& r : ranks) {
+    r = rng.NextDouble() < zero_share
+            ? 0
+            : static_cast<uint8_t>(1 + rng.NextBounded(max_rank));
+  }
+  ranks[rng.NextBounded(ranks.size())] = static_cast<uint8_t>(max_rank);
+  return ranks;
+}
+
+HyperLogLog HllWithRanks(int precision, const std::vector<uint8_t>& ranks) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(precision));
+  w.PutBytes(ranks.data(), ranks.size());
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  ByteReader r(bytes);
+  Result<HyperLogLog> hll = HyperLogLog::Deserialize(r);
+  EXPECT_TRUE(hll.ok()) << hll.status().ToString();
+  return std::move(hll).value();
+}
+
+// One LFPM entry per non-empty register, all at timestamp 5, so
+// Estimate(5, 1) sees exactly `ranks`.
+SlidingHyperLogLog SlidingWithRanks(int precision,
+                                    const std::vector<uint8_t>& ranks) {
+  ByteWriter w;
+  w.PutU8(static_cast<uint8_t>(precision));
+  w.PutU64(8);
+  for (uint8_t rank : ranks) {
+    w.PutVarint(rank == 0 ? 0 : 1);
+    if (rank == 0) continue;
+    w.PutVarint(5);
+    w.PutU8(rank);
+  }
+  const std::vector<uint8_t> bytes = w.TakeBytes();
+  ByteReader r(bytes);
+  Result<SlidingHyperLogLog> sketch = SlidingHyperLogLog::Deserialize(r);
+  EXPECT_TRUE(sketch.ok()) << sketch.status().ToString();
+  return std::move(sketch).value();
+}
+
+TEST(HllEstimatePropertyTest, TableSumsMatchLdexpBitForBit) {
+  Rng rng(TestSeed() ^ 0x2e57);
+  for (int trial = 0; trial < 40; trial++) {
+    const int precision = 4 + static_cast<int>(rng.NextBounded(15));  // 4..18
+    const int max_rank = 65 - precision;  // rho of an all-zero remainder
+    // Mostly-empty registers take the linear-counting branch; full ones
+    // take the raw harmonic estimate, which reads every summed bit.
+    for (double zero_share : {0.0, 0.05, 0.6}) {
+      SCOPED_TRACE("precision " + std::to_string(precision) + ", zeros " +
+                   std::to_string(zero_share));
+      const std::vector<uint8_t> ranks =
+          RandomRanks(rng, precision, max_rank, zero_share);
+      hll::RegisterSum sum;
+      for (uint8_t r : ranks) sum.Add(r);
+      EXPECT_EQ(std::bit_cast<uint64_t>(sum.inverse_sum),
+                std::bit_cast<uint64_t>(LdexpInverseSum(ranks)));
+
+      const double want = LdexpEstimate(ranks);
+      EXPECT_EQ(std::bit_cast<uint64_t>(
+                    HllWithRanks(precision, ranks).Estimate()),
+                std::bit_cast<uint64_t>(want));
+      if (precision <= 16) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(
+                      SlidingWithRanks(precision, ranks).Estimate(5, 1)),
+                  std::bit_cast<uint64_t>(want));
+      }
+    }
+  }
+  // Every byte a decoded HyperLogLog register can hold, in one sketch.
+  std::vector<uint8_t> every(size_t{1} << 12);
+  for (size_t i = 0; i < every.size(); i++) {
+    every[i] = static_cast<uint8_t>(rng.NextBounded(256));
+  }
+  for (int r = 0; r < 256; r++) {
+    every[static_cast<size_t>(r)] = static_cast<uint8_t>(r);
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(HllWithRanks(12, every).Estimate()),
+            std::bit_cast<uint64_t>(LdexpEstimate(every)));
+  for (int r = 0; r < 256; r++) {
+    EXPECT_EQ(hll::kInversePow2[static_cast<size_t>(r)], std::ldexp(1.0, -r))
+        << r;
   }
 }
 
