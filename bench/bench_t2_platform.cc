@@ -28,7 +28,7 @@
 //                crash/resume with the last complete epoch's key-grouped
 //                frames resharded N -> 2N, verified against an unsharded
 //                baseline (recovery + rescale timings to stdout).
-//   --fusion     run ONLY the H-fusion matrix (fused-operator chains vs
+//   --fusion     run ONLY the H-fusion matrix (fused edges vs
 //                queued execution, DESIGN.md §13) plus the fused-vs-queued
 //                sketch bit-identity check, writing a self-contained JSON
 //                to --out (the bench_fusion_smoke ctest fixture).
@@ -127,7 +127,10 @@ Topology MakeWordCountTopology(uint64_t n_tuples,
   return builder.Build().value();
 }
 
-RunResult RunWordCount(uint64_t n_tuples, const EngineConfig& config) {
+RunResult RunWordCount(uint64_t n_tuples, EngineConfig config) {
+  // The word-count tables compare executor models and transports, so
+  // every edge stays a queue.
+  config.enable_fusion = false;
   auto sink = std::make_shared<TupleSink>();
   TopologyEngine engine(MakeWordCountTopology(n_tuples, sink), config);
   WallTimer timer;
@@ -339,6 +342,8 @@ void RunMatrixCell(MatrixCell& cell,
   config.multiplexed_threads = 2;
   config.telemetry_sample_interval_ms = telemetry_interval_ms;
   config.trace_sample_every = trace_every;
+  // A-transport measures queues: the 1->4 edge would otherwise fuse.
+  config.enable_fusion = false;
   if (!cell.batched) {
     // The pre-batching data plane: one queue operation per tuple, no
     // staging, no SPSC rings.
@@ -1216,6 +1221,9 @@ BatchedPathOutcome RunBatchedSketchCell(uint64_t n, bool fused) {
       1, {{"hll_acc", Grouping::Global()}});
 
   EngineConfig config;
+  // Batched kernel calls take queued input batches; a fused hop delivers
+  // one tuple at a time.
+  config.enable_fusion = false;
   TopologyEngine engine(builder.Build().value(), config);
   WallTimer timer;
   engine.Run();
@@ -1306,14 +1314,26 @@ Topology MakeFusionShape(const std::string& shape, uint64_t n) {
     builder.AddSpout("spout", spout_factory, 2);
     builder.AddBolt("map", map_factory, 2, {{"spout", Grouping::Shuffle()}});
     builder.AddBolt("sink", sink_factory, 2, {{"map", Grouping::Shuffle()}});
-  } else if (shape == "fields_tail") {
-    // Partial fusion: spout -> map fuses, the fields-grouped tail keeps
-    // hash routing across 4 shards on a queued edge.
+  } else if (shape == "fields_1_to_4") {
+    // A 1->N fields edge fuses: the single map task's routing picks the
+    // shard, exactly as queued delivery would.
     builder.AddSpout("spout", spout_factory);
     builder.AddBolt("map", map_factory, 1, {{"spout", Grouping::Shuffle()}});
     builder.AddBolt("sink", sink_factory, 4, {{"map", Grouping::Fields(0)}});
-  } else {  // "mixed_parallelism": nothing fuses; the honest ~1.0x row.
+  } else if (shape == "two_arm_spout") {
+    // Both subscriptions of one spout fuse: a 1->4 fields arm and a 1->1
+    // global arm run inline, one after the other, per emission.
     builder.AddSpout("spout", spout_factory);
+    builder.AddBolt("sink", sink_factory, 4, {{"spout", Grouping::Fields(0)}});
+    builder.AddBolt("tally", sink_factory, 1, {{"spout", Grouping::Global()}});
+  } else if (shape == "fields_tail") {
+    // Partial fusion: spout -> map (1->2) fuses, the fields-grouped tail
+    // is fed by both map tasks (fan-in) and stays queued.
+    builder.AddSpout("spout", spout_factory);
+    builder.AddBolt("map", map_factory, 2, {{"spout", Grouping::Shuffle()}});
+    builder.AddBolt("sink", sink_factory, 4, {{"map", Grouping::Fields(0)}});
+  } else {  // "mixed_parallelism": nothing fuses; the honest ~1.0x row.
+    builder.AddSpout("spout", spout_factory, 2);
     builder.AddBolt("sink", sink_factory, 4, {{"spout", Grouping::Shuffle()}});
   }
   return builder.Build().value();
@@ -1333,9 +1353,10 @@ void RunFusionCell(FusionCell& cell) {
   cell.failed = engine.failed_roots();
 }
 
-/// Fused-vs-queued bit-identity on a fully fusible sketch chain:
-/// keys x1 -> CountMinSketch SketchBolt x1 (shuffle) -> combiner x1
-/// (global). Same inputs, both channels, byte-compared ToBlob state.
+/// Fused-vs-queued bit-identity on a sketch topology:
+/// keys x1 -> CountMinSketch SketchBolt x4 (fields, fused) -> combiner x1
+/// (global, fan-in, queued). Same inputs, both channels, byte-compared
+/// ToBlob state.
 bool CheckFusionSketchIdentity(uint64_t n) {
   auto run = [n](bool fused) {
     auto counter = std::make_shared<std::atomic<uint64_t>>(0);
@@ -1359,7 +1380,7 @@ bool CheckFusionSketchIdentity(uint64_t n) {
                 sketch.Add(static_cast<uint64_t>(t.Int(0)));
               });
         },
-        1, {{"keys", Grouping::Shuffle()}});
+        4, {{"keys", Grouping::Fields(0)}});
     builder.AddBolt(
         "out",
         [blob]() -> std::unique_ptr<Bolt> {
@@ -1424,7 +1445,8 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
   const int reps = quick ? 1 : 2;
   const std::vector<std::string> shapes = {
       "3stage_shuffle_p1", "2stage_pipeline_p1", "3stage_parallel2",
-      "fields_tail", "mixed_parallelism"};
+      "fields_1_to_4",     "two_arm_spout",      "fields_tail",
+      "mixed_parallelism"};
   std::vector<FusionCell> cells;
   for (const std::string& shape : shapes) {
     for (DeliverySemantics sem : {DeliverySemantics::kAtMostOnce,
@@ -1454,8 +1476,9 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
       CheckFusionSketchIdentity(quick ? 100000u : 1000000u);
 
   bench::TableTitle("H-fusion",
-                    "fused-operator chains (in-thread, no queue hop) vs "
-                    "queued execution of the identical topology");
+                    "fused edges (inline on the producer thread, no "
+                    "queue hop) vs queued execution of the identical "
+                    "topology");
   Row("%-20s %-14s | %12s %12s %8s %7s", "shape", "semantics", "queued t/s",
       "fused t/s", "speedup", "edges");
   for (size_t i = 0; i + 1 < cells.size(); i += 2) {
@@ -1468,11 +1491,11 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
   }
   Row("sketch state fused vs queued: %s",
       sketch_identical ? "byte-identical" : "DIVERGED");
-  Row("paper-shape check (Section 3, operator chains): collapsing a");
-  Row("linear chain into one thread removes the queue handoff and the");
-  Row("per-hop ack edge; shapes that need routing (fields, fan-out to");
-  Row("shards) keep queued edges and show ~1x — fusion helps pipelines,");
-  Row("not shuffles-to-many.");
+  Row("paper-shape check (Section 3, operator chains): running a hop");
+  Row("inline on its producer's thread removes the queue handoff and the");
+  Row("per-hop ack edge, for pipelines and for 1->N fan-out alike (the");
+  Row("producer's own routing picks the shard); edges fed by several");
+  Row("producer tasks (fan-in) keep their queues and show ~1x.");
 
   if (!sketch_identical) {
     std::fprintf(stderr, "error: fused chain produced different sketch "

@@ -10,7 +10,9 @@ Checks, in order:
     come in pairs per (shape, semantics), and at least one fused cell
     actually fused edges;
   * the speedups array covers every pair, and the shapes where nothing
-    fused report fused_edges == 0 (the honest ~1x rows are present).
+    fused report fused_edges == 0 (the honest ~1x rows are present);
+  * the 1->N fields and two-arm-spout shapes are present and fused both
+    of their edges.
 
 Exit 0 on success, 1 with a diagnostic on the first failure. Throughput
 ratios are NOT asserted here — a loaded CI host must not flake the suite;
@@ -19,6 +21,9 @@ the measured speedups live in EXPERIMENTS.md (H-fusion).
 
 import json
 import sys
+
+# Shapes only per-edge fusion runs fully inline: edges each must fuse.
+FAN_OUT_SHAPES = {"fields_1_to_4": 2, "two_arm_spout": 2}
 
 CELL_KEYS = {
     "shape", "semantics", "channel", "tuples", "seconds", "tuples_per_sec",
@@ -76,6 +81,15 @@ def main():
     if not any(c["channel"] == "fused" and c["fused_edges"] == 0
                for c in cells):
         fail("no honest no-fusion-possible row in the matrix")
+    for shape, edges in FAN_OUT_SHAPES.items():
+        fused = [c for c in cells
+                 if c["shape"] == shape and c["channel"] == "fused"]
+        if not fused:
+            fail("fan-out shape %r missing from the matrix" % shape)
+        for c in fused:
+            if c["fused_edges"] != edges:
+                fail("fan-out shape %r fused %d edges, expected %d" %
+                     (shape, c["fused_edges"], edges))
 
     speedups = fusion.get("speedups")
     if not isinstance(speedups, list):

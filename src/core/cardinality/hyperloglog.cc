@@ -171,14 +171,20 @@ Status HyperLogLog::Merge(const HyperLogLog& other) {
   if (other.precision_ != precision_) {
     return Status::InvalidArgument("HLL merge: precision mismatch");
   }
+  // A union with itself changes nothing; return before the loops below
+  // read what they write.
+  if (&other == this) return Status::OK();
   if (other.sparse_) {
     for (uint64_t h : other.sparse_hashes_) AddHash(h);
     return Status::OK();
   }
   if (sparse_) Densify();
-  for (size_t i = 0; i < registers_.size(); i++) {
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
-  }
+  // Hoisted pointers: indexing through the vectors on every iteration
+  // keeps the byte stores from vectorizing.
+  uint8_t* dst = registers_.data();
+  const uint8_t* src = other.registers_.data();
+  const size_t n = registers_.size();
+  for (size_t i = 0; i < n; i++) dst[i] = std::max(dst[i], src[i]);
   return Status::OK();
 }
 

@@ -144,13 +144,14 @@ struct TopologyEngine::Task {
   std::vector<const Tuple*> batch_inputs;
   std::vector<ExecutorFate> batch_fates;  // Only with executor faults armed.
 
-  // Fused-chain wiring (DESIGN.md §13). On a chain head: the downstream
-  // stage tasks in chain order (stage s of tuple routing = fused_stages[s]).
-  // A follower has no input channel and no thread of its own — its bolt
-  // runs inline on the head's thread, so all its state keeps the
-  // one-consulting-thread invariant.
+  // Fused wiring (DESIGN.md §13). A fused follower — a bolt task whose
+  // input edge is fused — has no input channel and no thread of its own:
+  // its producer task runs it inline, so it lives on `fused_head`'s thread
+  // (the nearest ancestor that has one) and all its state keeps the
+  // one-consulting-thread invariant. A head lists its inline descendants,
+  // producers before consumers, for Prepare, Restore and FlushAll.
+  Task* fused_head = nullptr;  // Non-null on a fused follower only.
   std::vector<Task*> fused_stages;
-  bool fused_follower = false;
 
   size_t InPushAll(std::span<Message> b) {
     return ring ? ring->PushAll(b) : queue->PushAll(b);
@@ -192,19 +193,22 @@ struct TopologyEngine::Task {
 struct TopologyEngine::Edge {
   Grouping grouping;
   std::vector<Task*> targets;
-  // Realized as an in-thread fused hop: no queue, no staging slot; the
-  // producer's Emit runs the consumer's chain inline (DeliverFusedHop).
-  bool fused = false;
+  // A fused shuffle between equal parallelisms above 1: producer task i
+  // feeds consumer task i, its only producer.
+  bool paired = false;
 };
 
-void TopologyEngine::Route(const Edge& edge, const Tuple& tuple, Rng& rng,
+void TopologyEngine::Route(const Edge& edge, uint32_t producer,
+                           const Tuple& tuple, Rng& rng,
                            std::vector<Task*>& out) {
   switch (edge.grouping.kind) {
     case GroupingKind::kBroadcast:
       out.insert(out.end(), edge.targets.begin(), edge.targets.end());
       break;
     case GroupingKind::kShuffle:
-      out.push_back(edge.targets[rng.NextBounded(edge.targets.size())]);
+      out.push_back(edge.paired
+                        ? edge.targets[producer]
+                        : edge.targets[rng.NextBounded(edge.targets.size())]);
       break;
     case GroupingKind::kFields: {
       const uint64_t h = HashOfValue(tuple.field(edge.grouping.field_index),
@@ -231,6 +235,15 @@ class TopologyEngine::AckLedger {
   size_t Apply(std::span<const AckerEvent> events) {
     size_t resolved = 0;
     for (const AckerEvent& event : events) {
+      // A tree that closed before its kInit left the spout (every hop
+      // fused, none failed) arrives as value 0 with nothing open: it
+      // resolves without touching the table or reading the clock.
+      if (event.kind == AckerEvent::kInit && event.xor_value == 0 &&
+          !roots_.contains(event.root_id)) {
+        Resolve(event.root_id, event.spout_task, /*success=*/true);
+        resolved++;
+        continue;
+      }
       RootEntry& entry = roots_[event.root_id];
       entry.value ^= event.xor_value;
       if (event.kind == AckerEvent::kInit) {
@@ -239,7 +252,7 @@ class TopologyEngine::AckLedger {
         entry.created_nanos = engine_->NowNanos();
       }
       if (entry.initialized && entry.value == 0) {
-        Resolve(event.root_id, entry, /*success=*/true);
+        Resolve(event.root_id, entry.spout_task, /*success=*/true);
         roots_.erase(event.root_id);
         resolved++;
       }
@@ -272,7 +285,7 @@ class TopologyEngine::AckLedger {
     size_t failed = 0;
     for (auto it = roots_.begin(); it != roots_.end();) {
       if (it->second.initialized && expired(it->second)) {
-        Resolve(it->first, it->second, /*success=*/false);
+        Resolve(it->first, it->second.spout_task, /*success=*/false);
         it = roots_.erase(it);
         failed++;
       } else {
@@ -284,8 +297,8 @@ class TopologyEngine::AckLedger {
 
   /// The drive mode never opened its spouts, so there a resolved root
   /// lands only on the spout task's metrics and the root counters.
-  void Resolve(uint64_t root, const RootEntry& entry, bool success) {
-    Task* spout_task = engine_->tasks_[entry.spout_task].get();
+  void Resolve(uint64_t root, size_t spout_index, bool success) {
+    Task* spout_task = engine_->tasks_[spout_index].get();
     if (success) {
       engine_->completed_roots_.fetch_add(1, std::memory_order_relaxed);
       spout_task->metrics->IncAcked();
@@ -325,9 +338,10 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   void InitStaging() {
     slot_of_task_.assign(engine_->tasks_.size(), -1);
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      if (edge.fused) continue;  // Fused hops bypass staging entirely.
       for (Task* target : edge.targets) {
-        if (slot_of_task_[target->global_index] < 0) {
+        // Fused followers run inline and bypass staging entirely.
+        if (target->fused_head == nullptr &&
+            slot_of_task_[target->global_index] < 0) {
           slot_of_task_[target->global_index] =
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
@@ -398,40 +412,20 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       }
     }
 
-    // Fused chain head: run every downstream stage inline on this thread
-    // instead of routing into queues. The chain yields the XOR of poison
-    // edge ids for failed hops — 0 when everything succeeded, which under
-    // tracking makes the root's ledger resolve immediately (the same
-    // eventual outcome the queued path reaches after its ack round-trips).
-    if (!task_->fused_stages.empty()) {
-      uint64_t chain_xor = 0;
-      engine_->DeliverFusedHop(task_, 0, std::move(tuple), root, emit_time,
-                               current_trace_, current_span_, &chain_xor);
-      total_emitted_++;
-      unflushed_emits_++;
-      if (TracksTuples(engine_->config_.semantics)) {
-        if (from_spout) {
-          StageAck(AckerEvent{AckerEvent::kInit, root, chain_xor,
-                              task_->global_index});
-        } else if (root != 0) {
-          xor_out_ ^= chain_xor;
-        }
-      }
-      return;
-    }
-
     // Resolve this tuple's target task set across all outgoing edges.
     targets_scratch_.clear();
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
-      Route(edge, tuple, rng_, targets_scratch_);
+      Route(edge, task_->task_index, tuple, rng_, targets_scratch_);
     }
 
+    // Each delivery's ledger contribution: the edge ids a staged delivery
+    // created, or what an inline one left open (ExecuteInline).
     uint64_t edge_xor = 0;
     for (size_t i = 0; i < targets_scratch_.size(); i++) {
       const bool last = i + 1 == targets_scratch_.size();
-      edge_xor ^= Stage(targets_scratch_[i],
-                        last ? std::move(tuple) : Tuple(tuple), root,
-                        emit_time);
+      edge_xor ^= Deliver(targets_scratch_[i],
+                          last ? std::move(tuple) : Tuple(tuple), root,
+                          emit_time);
     }
     total_emitted_++;
     unflushed_emits_++;
@@ -483,9 +477,9 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   /// staged tuple could be needed to unblock (execute-batch end, spout
   /// throttle wait, shutdown).
   void FlushAll() {
-    // A chain head flushes its followers first: a fused tail may have
-    // staged tuples toward queued edges past the chain (and kUpdate acker
-    // events), and those obey the same flush-before-blocking contract.
+    // A head flushes its fused followers first: they stage toward queued
+    // edges past the fused ones, under the same flush-before-blocking
+    // contract.
     for (Task* follower : task_->fused_stages) follower->collector->FlushAll();
     for (StagingSlot& slot : slots_) FlushSlot(slot);
     if (unflushed_emits_ > 0) {
@@ -504,25 +498,41 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     std::vector<Message> buffer;
   };
 
-  /// Stages one copy for `target`; returns the XOR of the edge ids created
-  /// for this delivery (0 untracked — normally one id, a dropped delivery
-  /// still creates one, a duplicated delivery creates two). Flushes the
-  /// slot when it reaches the batch size. Transport faults (delay, drop,
-  /// duplicate) inject here — the staging buffer is this engine's wire.
-  uint64_t Stage(Task* target, Tuple&& tuple, uint64_t root,
-                 uint64_t emit_time) {
+  /// Delivers one copy to `target` and returns its ledger contribution (0
+  /// untracked). Transport faults (delay, drop, duplicate) inject here,
+  /// one draw per delivery, queued or fused alike — the staging buffer and
+  /// the inline call are this engine's wire. A fused follower then runs
+  /// inline (ExecuteInline); any other target gets the message staged.
+  uint64_t Deliver(Task* target, Tuple&& tuple, uint64_t root,
+                   uint64_t emit_time) {
     const TransportFate fate = DrawTransportFate(task_->transport_faults.get());
     engine_->SleepMicros(fate.delay_micros);
     if (fate.drop) {
-      // Transport loss: allocate and anchor the edge id but never stage
-      // the message — like a packet dropped after send. The ledger now
-      // holds a bit no execution will clear, so under at-least-once the
-      // root times out and the spout's OnFail replays it; at-most-once
-      // simply loses the tuple. Dropped deliveries never touch
-      // pending_messages_ (counted at flush), so the drain protocol is
-      // unaffected.
+      // Transport loss: allocate and anchor an edge id but never deliver
+      // — like a packet dropped after send. The ledger now holds a bit no
+      // execution will clear, so under at-least-once the root times out
+      // and the spout's OnFail replays it; at-most-once simply loses the
+      // tuple. Dropped deliveries never touch pending_messages_ (counted
+      // at flush), so the drain protocol is unaffected.
       return root != 0 ? engine_->NextEdgeId() : 0;
     }
+    if (target->fused_head != nullptr) {
+      Message message;
+      message.tuple = std::move(tuple);
+      message.root_id = root;
+      message.emit_time_nanos = emit_time;
+      message.trace_id = current_trace_;
+      message.trace_parent_span = current_span_;
+      return engine_->ExecuteInline(target, message, fate.duplicate);
+    }
+    return Stage(target, std::move(tuple), root, emit_time, fate.duplicate);
+  }
+
+  /// Stages one copy for `target`; returns the XOR of the edge ids created
+  /// for it (normally one, two for a duplicated delivery). Flushes the
+  /// slot when it reaches the batch size.
+  uint64_t Stage(Task* target, Tuple&& tuple, uint64_t root,
+                 uint64_t emit_time, bool duplicate) {
     const uint64_t edge_id = root != 0 ? engine_->NextEdgeId() : 0;
     StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
     Message& message = slot.buffer.emplace_back();
@@ -539,7 +549,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       message.trace_enqueue_nanos = engine_->NowNanos();
     }
     uint64_t edge_xor = edge_id;
-    if (fate.duplicate) {
+    if (duplicate) {
       // Redelivery: a second copy with its own ledger entry, so the XOR
       // accounting stays balanced while downstream genuinely sees the
       // tuple twice — the duplication at-least-once permits and the
@@ -684,33 +694,8 @@ void TopologyEngine::BuildTasks() {
     }
   }
 
-  // Resolve subscription edges into per-source outgoing lists, counting
-  // each consumer's distinct producer tasks on the way (the SPSC
-  // eligibility test).
-  outgoing_.assign(components.size(), {});
-  std::vector<uint64_t> producer_tasks(components.size(), 0);
-  std::vector<std::vector<bool>> counted(
-      components.size(), std::vector<bool>(components.size(), false));
-  for (size_t ci = 0; ci < components.size(); ci++) {
-    for (const Subscription& sub : components[ci].inputs) {
-      const size_t source = topology_.IndexOf(sub.source);
-      Edge edge;
-      edge.grouping = sub.grouping;
-      edge.targets = tasks_by_component[ci];
-      outgoing_[source].push_back(std::move(edge));
-      if (!counted[ci][source]) {
-        counted[ci][source] = true;
-        producer_tasks[ci] += components[source].parallelism;
-      }
-    }
-  }
-
   // Fused-operator compilation (DESIGN.md §13): lower the topology into
-  // the dataflow IR, run the fusion pass, and wire each fused chain: the
-  // chain head keeps its thread and routes emissions through DeliverFusedHop;
-  // followers lose their input channel and thread — their bolts run inline
-  // on the head's thread, paired task i with task i (rule 6 guarantees
-  // equal parallelism on every fused edge).
+  // the dataflow IR and run the fusion pass.
   plan_ = std::make_unique<TopologyPlan>(TopologyPlan::FromTopology(topology_));
   FusionOptions fusion_options;
   fusion_options.enable_fusion = config_.enable_fusion;
@@ -720,19 +705,38 @@ void TopologyEngine::BuildTasks() {
       config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
   plan_->RunFusionPass(fusion_options);
   fused_edges_ = plan_->fused_edge_count();
-  for (const std::vector<size_t>& chain : plan_->chains()) {
-    for (size_t i = 0; i + 1 < chain.size(); i++) {
-      // Rule 8: a fused producer has exactly one outgoing edge.
-      outgoing_[chain[i]][0].fused = true;
+
+  // Resolve the plan's edges into per-source outgoing lists, counting each
+  // consumer's distinct producer tasks on the way (the SPSC eligibility
+  // test). A fused edge makes each consumer task a follower of the one
+  // producer task that feeds it — task 0 of a parallelism-1 producer, task
+  // i of a paired shuffle — on that producer's head thread. Components are
+  // topologically sorted, so a producer is wired before its consumers.
+  outgoing_.assign(components.size(), {});
+  std::vector<uint64_t> producer_tasks(components.size(), 0);
+  std::vector<std::vector<bool>> counted(
+      components.size(), std::vector<bool>(components.size(), false));
+  for (const PlanEdge& plan_edge : plan_->edges()) {
+    const size_t source = plan_edge.from;
+    const size_t ci = plan_edge.to;
+    const bool fused = plan_edge.channel == EdgeChannel::kFused;
+    Edge edge;
+    edge.grouping = plan_edge.grouping;
+    edge.targets = tasks_by_component[ci];
+    edge.paired = fused && components[source].parallelism > 1;
+    outgoing_[source].push_back(edge);
+    if (!counted[ci][source]) {
+      counted[ci][source] = true;
+      producer_tasks[ci] += components[source].parallelism;
     }
-    const uint32_t chain_parallelism = components[chain[0]].parallelism;
-    for (uint32_t ti = 0; ti < chain_parallelism; ti++) {
-      Task* head = tasks_by_component[chain[0]][ti];
-      for (size_t s = 1; s < chain.size(); s++) {
-        Task* follower = tasks_by_component[chain[s]][ti];
-        follower->fused_follower = true;
-        head->fused_stages.push_back(follower);
-      }
+    if (!fused) continue;
+    for (Task* follower : edge.targets) {
+      Task* producer =
+          tasks_by_component[source][edge.paired ? follower->task_index : 0];
+      Task* head =
+          producer->fused_head != nullptr ? producer->fused_head : producer;
+      follower->fused_head = head;
+      head->fused_stages.push_back(follower);
     }
   }
 
@@ -743,10 +747,10 @@ void TopologyEngine::BuildTasks() {
   for (auto& task : tasks_) {
     if (task->bolt == nullptr) continue;
     // Fused followers have no input channel at all: their tuples arrive as
-    // inline calls on the chain head's thread. (No queue also means no
+    // inline calls on the head's thread. (No queue also means no
     // queue-stall site — the fused analogue of a stall is simply the head
-    // thread running the stage.)
-    if (task->fused_follower) continue;
+    // thread running the follower.)
+    if (task->fused_head != nullptr) continue;
     const bool spsc = !stepped_ && config_.enable_spsc &&
                       config_.mode == ExecutionMode::kDedicated &&
                       producer_tasks[task->component_index] == 1;
@@ -808,7 +812,7 @@ void TopologyEngine::StartSampler() {
   for (auto& task : tasks_) {
     MetricsSampler::Probe probe;
     probe.metrics = task->metrics;
-    if (task->bolt != nullptr && !task->fused_follower) {
+    if (task->bolt != nullptr && task->fused_head == nullptr) {
       Task* t = task.get();
       probe.queue_depth = [t] { return t->InApproxSize(); };
     }
@@ -839,18 +843,22 @@ void TopologyEngine::DrainTraces() {
                                     dropped);
 }
 
-void TopologyEngine::SpoutLoop(Task* task) {
-  task->spout->Open(task->task_index,
-                    topology_.components()[task->component_index].parallelism);
-  RestoreTaskState(task);
-  // A fused chain head prepares its followers: they have no thread of
-  // their own, and their bolts will run inline right here.
-  for (Task* follower : task->fused_stages) {
+/// A head prepares its fused followers on its own thread: they have none,
+/// and their bolts will run inline right here.
+void TopologyEngine::PrepareFollowers(Task* head) {
+  for (Task* follower : head->fused_stages) {
     follower->bolt->Prepare(
         follower->task_index,
         topology_.components()[follower->component_index].parallelism);
     RestoreTaskState(follower);
   }
+}
+
+void TopologyEngine::SpoutLoop(Task* task) {
+  task->spout->Open(task->task_index,
+                    topology_.components()[task->component_index].parallelism);
+  RestoreTaskState(task);
+  PrepareFollowers(task);
   TaskCollector* collector = task->collector.get();
   const size_t batch = std::max<size_t>(1, config_.emit_batch_size);
   const bool track = TracksTuples(config_.semantics);
@@ -894,92 +902,63 @@ void TopologyEngine::SpoutLoop(Task* task) {
   }
 }
 
-/// A hop's output channel: where the bolt's emissions go, and how each
-/// input's ledger entry closes once it ran (the epilogue).
-///  - Queued: emissions stage through the task's TaskCollector; the
-///    epilogue stages the input's kUpdate ack.
-///  - Fused: a non-tail stage's emissions run the next stage inline (the
-///    channel is their collector); the tail's emissions stage through its
-///    own TaskCollector toward queued edges past the chain. Delivered fused
-///    hops allocate no ledger edge ids — the inline call both "delivers"
-///    and "acks", a net ledger zero — so the epilogue folds the tail's
-///    children into the chain ledger and XORs a fresh poison edge id for
-///    any input whose ack a queued hop would not have sent (throw, crash,
-///    lost ack). Under tracking the root then fails by ack timeout exactly
-///    like its queued counterpart.
-class TopologyEngine::HopChannel : public OutputCollector {
+/// A hop's channel: the bolt emits into its task's own TaskCollector, and
+/// the channel decides how each input's ledger entry closes once it ran
+/// (the epilogue).
+///  - Queued: the epilogue stages the input's kUpdate ack.
+///  - Fused: the input arrived by an inline call, which allocated no edge
+///    id — the call both delivers and acks, a net ledger zero — so the
+///    epilogue folds the hop's emitted edge ids into the delivery's
+///    contribution (`fused_xor`) and XORs a fresh poison edge id for any
+///    input whose ack a queued hop would not have sent (throw, crash, lost
+///    ack). Under tracking the root then fails by ack timeout exactly like
+///    its queued counterpart.
+class TopologyEngine::HopChannel {
  public:
-  explicit HopChannel(Task* task) : collector_(task->collector.get()) {}
-  HopChannel(TopologyEngine* engine, Task* head, size_t stage,
-             uint64_t* chain_xor)
-      : collector_(stage + 1 == head->fused_stages.size()
-                       ? head->fused_stages[stage]->collector.get()
-                       : nullptr),
-        engine_(engine),
-        head_(head),
-        stage_(stage),
-        chain_xor_(chain_xor) {}
+  HopChannel(TopologyEngine* engine, Task* task, uint64_t* fused_xor = nullptr)
+      : engine_(engine),
+        collector_(task->collector.get()),
+        fused_xor_(fused_xor) {}
 
   /// Anchoring context for one Execute (all 0 for a batched call); returns
   /// the collector the bolt emits into.
   OutputCollector* Begin(uint64_t root, uint64_t emit_time,
                          uint64_t trace_id, uint64_t span) {
-    if (collector_ != nullptr) {
-      collector_->BeginExecute(root, emit_time, trace_id, span);
-      return collector_;
-    }
-    root_ = root;
-    emit_time_ = emit_time;
-    trace_id_ = trace_id;
-    span_ = span;
-    return this;
+    collector_->BeginExecute(root, emit_time, trace_id, span);
+    return collector_;
   }
   /// XOR of the edge ids the Execute's emissions created.
-  uint64_t End() { return collector_ != nullptr ? collector_->EndExecute() : 0; }
-
-  /// A non-tail fused stage's emission: the next hop of the chain.
-  void Emit(Tuple tuple) override {
-    head_->fused_stages[stage_]->metrics->IncEmitted();
-    engine_->DeliverFusedHop(head_, stage_ + 1, std::move(tuple), root_,
-                             emit_time_, trace_id_, span_, chain_xor_);
-  }
+  uint64_t End() { return collector_->EndExecute(); }
 
   /// Trace queue wait: a fused hop never waits in a queue.
   uint64_t WaitNanos(const Message& message, uint64_t execute_start) const {
-    return chain_xor_ == nullptr ? execute_start - message.trace_enqueue_nanos
-                                 : 0;
+    return fused_xor_ == nullptr
+               ? execute_start - message.trace_enqueue_nanos
+               : 0;
   }
 
   /// The epilogue. `ran`: Execute completed; `acked`: it ran and its ack
   /// survives (no crash, no lost ack).
   void Close(const Message& message, uint64_t xor_out, bool ran, bool acked) {
-    if (chain_xor_ == nullptr) {
+    if (fused_xor_ == nullptr) {
       if (acked && message.root_id != 0) {
         collector_->StageAck(AckerEvent{AckerEvent::kUpdate, message.root_id,
                                         message.edge_id ^ xor_out, 0});
       }
       return;
     }
-    if (ran) *chain_xor_ ^= xor_out;
-    if (!acked && message.root_id != 0) *chain_xor_ ^= engine_->NextEdgeId();
+    if (ran) *fused_xor_ ^= xor_out;
+    if (!acked && message.root_id != 0) *fused_xor_ ^= engine_->NextEdgeId();
   }
 
  private:
-  TaskCollector* collector_;  // Null on a non-tail fused stage.
-  // Fused channels only.
-  TopologyEngine* engine_ = nullptr;
-  Task* head_ = nullptr;
-  size_t stage_ = 0;
-  uint64_t* chain_xor_ = nullptr;  // Null = queued channel.
-  // A non-tail stage's current Execute, inherited by the hops it emits.
-  uint64_t root_ = 0;
-  uint64_t emit_time_ = 0;
-  uint64_t trace_id_ = 0;
-  uint64_t span_ = 0;
+  TopologyEngine* engine_;
+  TaskCollector* collector_;
+  uint64_t* fused_xor_;  // Null = queued channel.
 };
 
 void TopologyEngine::ExecuteBatch(Task* task, std::span<Message> batch) {
-  HopChannel channel(task);
+  HopChannel channel(this, task);
   size_t executed = 0;
   size_t consumed = batch.size();  // Messages leaving the pending count.
   if (task->aligner == nullptr) {
@@ -1102,8 +1081,8 @@ bool TopologyEngine::ExecuteHop(Task* task, std::span<Message> run,
   }
   bool ok = true;
   if (!inputs.empty()) {
-    // Fused hops deliver one message at a time, so a batched run is always
-    // queued and its emissions would land in the task's own collector.
+    // A fused hop delivers one message at a time, so a batched run is
+    // always queued.
     const uint64_t emitted_before = task->collector->total_emitted();
     OutputCollector* out = channel.Begin(0, 0, 0, 0);
     try {
@@ -1137,39 +1116,24 @@ bool TopologyEngine::ExecuteHop(Task* task, std::span<Message> run,
   return crashed;
 }
 
-/// One fused hop: the producer's transport fate (the same DrawTransportFate
-/// the queued Stage() path uses), then the stage's bolt through the hop
-/// executor. A dropped hop poisons the chain ledger like any failed hop. A
-/// crash rebuilds the stage bolt in place: the head's thread IS this
-/// "process", and later tuples meet the fresh instance.
-void TopologyEngine::DeliverFusedHop(Task* head, size_t stage, Tuple tuple,
-                                     uint64_t root, uint64_t emit_time,
-                                     uint64_t trace_id, uint64_t parent_span,
-                                     uint64_t* chain_xor) {
-  Task* producer = stage == 0 ? head : head->fused_stages[stage - 1];
-  const TransportFate fate =
-      DrawTransportFate(producer->transport_faults.get());
-  SleepMicros(fate.delay_micros);
-  if (fate.drop) {
-    if (root != 0) *chain_xor ^= NextEdgeId();
-    return;
-  }
-  Message message;
-  message.tuple = std::move(tuple);
-  message.root_id = root;
-  message.emit_time_nanos = emit_time;
-  message.trace_id = trace_id;
-  message.trace_parent_span = parent_span;
-  Task* task = head->fused_stages[stage];
-  HopChannel channel(this, head, stage, chain_xor);
+/// A fused delivery whose transport fate (drawn by the producer's Deliver)
+/// let it through: `task` runs `message` inline through the hop executor,
+/// its emissions routed by its own collector (deeper fused edges inline,
+/// queued ones staged). Returns the ledger contribution the fused
+/// HopChannel collected. A crash rebuilds the bolt in place: the head's
+/// thread IS this "process", and later tuples meet the fresh instance.
+uint64_t TopologyEngine::ExecuteInline(Task* task, Message& message,
+                                       bool duplicate) {
+  uint64_t fused_xor = 0;
+  HopChannel channel(this, task, &fused_xor);
+  std::span<Message> one(&message, 1);
   size_t executed = 0;
-  // Redelivery: the stage genuinely executes twice (the duplication
+  // Redelivery: the bolt genuinely executes twice (the duplication
   // at-least-once permits), each copy its own delivery.
-  if (fate.duplicate) {
-    ExecuteHop(task, std::span<Message>(&message, 1), channel, &executed);
-  }
-  ExecuteHop(task, std::span<Message>(&message, 1), channel, &executed);
+  if (duplicate) ExecuteHop(task, one, channel, &executed);
+  ExecuteHop(task, one, channel, &executed);
   task->metrics->IncExecuted(executed);
+  return fused_xor;
 }
 
 /// The barrier-aware split (epochs on). Barriers feed the aligner; data
@@ -1251,7 +1215,7 @@ bool TopologyEngine::ReleaseHeld(Task* task, uint64_t max_tag,
     }
     kept++;
   }
-  HopChannel channel(task);
+  HopChannel channel(this, task);
   const bool crashed = ExecuteHop(task, released, channel, executed);
   size_t finished = released.size();
   if (crashed) {
@@ -1393,14 +1357,7 @@ void TopologyEngine::DedicatedBoltLoop(Task* task) {
       task->task_index,
       topology_.components()[task->component_index].parallelism);
   RestoreTaskState(task);
-  // Bolt-headed fused chains (the spout edge stayed queued but downstream
-  // bolt→bolt edges fused): prepare the followers on this thread too.
-  for (Task* follower : task->fused_stages) {
-    follower->bolt->Prepare(
-        follower->task_index,
-        topology_.components()[follower->component_index].parallelism);
-    RestoreTaskState(follower);
-  }
+  PrepareFollowers(task);
   const size_t max_batch = std::max<size_t>(1, config_.execute_batch_size);
   std::vector<Message> batch;
   batch.reserve(max_batch);
@@ -1520,7 +1477,7 @@ class TopologyEngine::FinishCollector : public OutputCollector {
       // Each edge's targets run before the next edge routes: a delivery's
       // downstream seed and the next shuffle draw share rng_.
       targets.clear();
-      Route(edge, tuple, rng_, targets);
+      Route(edge, task_->task_index, tuple, rng_, targets);
       for (Task* target : targets) Deliver(target, tuple);
     }
   }
@@ -1575,11 +1532,11 @@ void TopologyEngine::Run() {
   }
 
   // Bolt executors. Fused followers get no thread (and have no input
-  // channel to drain or close) — they execute inline on their chain
-  // head's thread.
+  // channel to drain or close) — they execute inline on their head's
+  // thread.
   std::vector<Task*> bolt_tasks;
   for (const auto& task : tasks_) {
-    if (task->bolt != nullptr && !task->fused_follower) {
+    if (task->bolt != nullptr && task->fused_head == nullptr) {
       bolt_tasks.push_back(task.get());
     }
   }

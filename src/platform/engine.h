@@ -124,12 +124,12 @@ struct EngineConfig {
   /// before pumping data, and number new epochs from here. 0 = fresh run.
   uint64_t resume_from_epoch = 0;
   /// Fused-operator compilation (DESIGN.md §13): lower the topology to a
-  /// dataflow IR, collapse eligible spout→bolt→bolt chains into in-thread
-  /// fused operators (no queue, no per-hop ack traffic), and fall back to
-  /// queued edges wherever the legality rules demand it. Off by default:
-  /// fusion removes queues, which changes the observable transport shape
-  /// (spsc_edges(), queue-depth gauges) existing callers rely on.
-  bool enable_fusion = false;
+  /// dataflow IR and run every edge whose consumer tasks each have exactly
+  /// one producer task inline on that producer's thread (no queue, no
+  /// per-hop ack traffic); every other edge stays queued. Off forces every
+  /// edge through a queue — the switch fused ≡ queued tests and transport
+  /// benches use.
+  bool enable_fusion = true;
   /// Time source for latency stamps, ack/alignment timeouts, and trace
   /// timestamps. Null (the default) uses the process steady clock; tests
   /// inject a ManualClock to drive timeout paths deterministically.
@@ -179,8 +179,8 @@ class TopologyEngine {
   /// before Run()); always present afterwards, even with fusion disabled.
   const TopologyPlan* plan() const { return plan_.get(); }
 
-  /// Edges realized as in-thread fused hops instead of queues (after
-  /// Run()). 0 whenever enable_fusion is false or nothing was eligible.
+  /// Edges realized as inline fused hops instead of queues (after Run()).
+  /// 0 whenever enable_fusion is false or nothing was eligible.
   size_t fused_edges() const { return fused_edges_; }
 
   /// Injected-fault counters for this run; null when config.faults is
@@ -226,14 +226,16 @@ class TopologyEngine {
   RunSummary Summary() const;
 
   /// The one routing function (run-phase and finish-pass emissions
-  /// alike): appends the tasks one emission of `tuple` reaches over
-  /// `edge`; shuffle draws from the emitting collector's `rng`.
-  static void Route(const Edge& edge, const Tuple& tuple, Rng& rng,
-                    std::vector<Task*>& out);
+  /// alike, queued and fused edges alike): appends the tasks one emission
+  /// of `tuple` by producer task `producer` reaches over `edge`; shuffle
+  /// draws from the emitting collector's `rng`.
+  static void Route(const Edge& edge, uint32_t producer, const Tuple& tuple,
+                    Rng& rng, std::vector<Task*>& out);
 
   void BuildTasks();
   void StartSampler();
   void DrainTraces();
+  void PrepareFollowers(Task* head);
   void SpoutLoop(Task* task);
   void DedicatedBoltLoop(Task* task);
   void MultiplexedWorkerLoop(const std::vector<Task*>& tasks);
@@ -241,6 +243,7 @@ class TopologyEngine {
   void ExecuteBatch(Task* task, std::span<struct Message> batch);
   bool ExecuteHop(Task* task, std::span<struct Message> run,
                   HopChannel& channel, size_t* executed);
+  uint64_t ExecuteInline(Task* task, struct Message& message, bool duplicate);
   void RestartBolt(Task* task);
   void RunFinishPass();
 
@@ -250,13 +253,6 @@ class TopologyEngine {
   void SleepMicros(uint32_t micros) const;
   /// Allocates one ack-ledger edge id.
   uint64_t NextEdgeId();
-
-  // Fused-chain execution (DESIGN.md §13): delivers `tuple` to stage
-  // `stage` of `head`'s fused chain inline on the calling thread, XORing
-  // the poison edge ids of failed hops into `chain_xor`.
-  void DeliverFusedHop(Task* head, size_t stage, Tuple tuple, uint64_t root,
-                       uint64_t emit_time, uint64_t trace_id,
-                       uint64_t parent_span, uint64_t* chain_xor);
 
   // Epoch-barrier plumbing (all no-ops unless epoch_interval_tuples > 0).
   size_t ExecuteAligned(Task* task, std::span<struct Message> batch,

@@ -35,7 +35,8 @@ TopologyPlan TopologyPlan::FromTopology(const Topology& topology) {
 Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
                                     const PlanEdge& edge,
                                     const FusionOptions& options) {
-  // Rule 1: fusion is opt-in per engine run.
+  // Rule 1: the master switch (on by default; turning it off forces every
+  // edge through a queue).
   if (!options.enable_fusion) {
     return Status::FailedPrecondition("fusion disabled");
   }
@@ -53,45 +54,25 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
     return Status::FailedPrecondition(
         "epoch barriers align on queued edges");
   }
-  // Rule 4: fields grouping exists to partition keys across consumer
-  // tasks; collapsing it in-thread would silently break stateful sharding.
-  if (edge.grouping.kind == GroupingKind::kFields) {
-    return Status::InvalidArgument(
-        "fields grouping requires hash routing across shards");
-  }
-  // Rule 5: broadcast needs one copy per consumer task — inherently a
-  // fan-out delivery, never a 1:1 inline call.
-  if (edge.grouping.kind == GroupingKind::kBroadcast) {
-    return Status::InvalidArgument("broadcast fans out to every shard");
-  }
-  // Rule 6: parallelism compatibility. A fused shuffle pairs producer
-  // task i with consumer task i — a legal refinement of "uniform random
-  // task" — which needs equal parallelism. Global demands one consumer
-  // task fed by everything, so fusing needs a single producer task too.
-  if (edge.grouping.kind == GroupingKind::kShuffle &&
-      from.parallelism != to.parallelism) {
-    return Status::InvalidArgument("shuffle with mismatched parallelism (" +
-                                   std::to_string(from.parallelism) + " vs " +
-                                   std::to_string(to.parallelism) + ")");
-  }
-  if (edge.grouping.kind == GroupingKind::kGlobal &&
-      (from.parallelism != 1 || to.parallelism != 1)) {
-    return Status::InvalidArgument(
-        "global grouping fuses only at parallelism 1");
-  }
-  // Rule 7: a consumer with several inputs merges streams from distinct
-  // producer threads — it must stay queued so all producers can reach it.
+  // Rule 4: fused delivery runs the consumer inline on its producer
+  // task's thread, so every consumer task must be fed by exactly one
+  // producer task. A single-input consumer meets that when the producer
+  // has parallelism 1 (its own routing picks among the consumer tasks,
+  // whatever the grouping) or over an equal-parallelism shuffle, which
+  // pairs producer task i with consumer task i. Everything else merges
+  // streams from several producer threads and stays queued.
   if (to.in_edges.size() != 1) {
     return Status::InvalidArgument("fan-in: consumer has " +
                                    std::to_string(to.in_edges.size()) +
                                    " input edges");
   }
-  // Rule 8: a producer with several output subscriptions routes each emit
-  // to every one of them; fusing one arm would starve the others.
-  if (from.out_edges.size() != 1) {
-    return Status::InvalidArgument("fan-out: producer has " +
-                                   std::to_string(from.out_edges.size()) +
-                                   " output edges");
+  const bool paired = edge.grouping.kind == GroupingKind::kShuffle &&
+                      from.parallelism == to.parallelism;
+  if (from.parallelism != 1 && !paired) {
+    return Status::InvalidArgument(
+        "fan-in: " + std::to_string(from.parallelism) +
+        " producer tasks feed each consumer task over a " +
+        GroupingKindName(edge.grouping.kind) + " edge");
   }
   return Status::OK();
 }
@@ -110,32 +91,6 @@ void TopologyPlan::RunFusionPass(const FusionOptions& options) {
     edge.tracked = options.tracked;
     edge.barriered = options.epochs_enabled;
   }
-
-  // Group fused edges into maximal chains. A chain head is a node with a
-  // fused out-edge but no fused in-edge; rules 7/8 guarantee each node has
-  // at most one fused edge on each side, so chains are simple paths.
-  chains_.clear();
-  auto fused_out = [&](size_t node) -> const PlanEdge* {
-    for (size_t e : nodes_[node].out_edges) {
-      if (edges_[e].channel == EdgeChannel::kFused) return &edges_[e];
-    }
-    return nullptr;
-  };
-  auto has_fused_in = [&](size_t node) {
-    for (size_t e : nodes_[node].in_edges) {
-      if (edges_[e].channel == EdgeChannel::kFused) return true;
-    }
-    return false;
-  };
-  for (size_t n = 0; n < nodes_.size(); n++) {
-    if (has_fused_in(n) || fused_out(n) == nullptr) continue;
-    std::vector<size_t> chain{n};
-    for (const PlanEdge* e = fused_out(n); e != nullptr;
-         e = fused_out(chain.back())) {
-      chain.push_back(e->to);
-    }
-    chains_.push_back(std::move(chain));
-  }
 }
 
 size_t TopologyPlan::fused_edge_count() const {
@@ -149,19 +104,13 @@ size_t TopologyPlan::fused_edge_count() const {
 std::string TopologyPlan::ToString() const {
   std::ostringstream out;
   out << "plan: " << nodes_.size() << " nodes, " << edges_.size()
-      << " edges, " << fused_edge_count() << " fused, " << chains_.size()
-      << " chains\n";
+      << " edges, " << fused_edge_count() << " fused\n";
   for (const PlanEdge& edge : edges_) {
     out << "  " << nodes_[edge.from].name << " -> " << nodes_[edge.to].name
         << " [" << GroupingKindName(edge.grouping.kind) << " x" << edge.shards
         << "] "
         << (edge.channel == EdgeChannel::kFused ? "FUSED" : "queued");
     if (!edge.veto.empty()) out << " (veto: " << edge.veto << ")";
-    out << "\n";
-  }
-  for (const std::vector<size_t>& chain : chains_) {
-    out << "  chain:";
-    for (size_t n : chain) out << " " << nodes_[n].name;
     out << "\n";
   }
   return out.str();

@@ -13,14 +13,14 @@ namespace streamlib::platform {
 /// How an edge is realized at runtime.
 enum class EdgeChannel : uint8_t {
   kQueued,  ///< producer stages into a queue/ring; consumer thread drains
-  kFused,   ///< consumer runs inline on the producer's thread (no queue)
+  kFused,   ///< consumer runs inline on its producer task's thread (no queue)
 };
 
 /// The engine facts the fusion pass needs, decoupled from EngineConfig so
 /// the plan layer has no dependency on engine.h. The engine fills this
 /// from its config in BuildTasks; tests construct it directly.
 struct FusionOptions {
-  bool enable_fusion = false;     ///< master switch (EngineConfig::enable_fusion)
+  bool enable_fusion = true;      ///< master switch (EngineConfig::enable_fusion)
   bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
   bool tracked = false;           ///< delivery semantics track tuples (acking on)
   bool epochs_enabled = false;    ///< barrier checkpointing active
@@ -50,15 +50,16 @@ struct PlanEdge {
   EdgeChannel channel = EdgeChannel::kQueued;
   /// Why the fusion pass left this edge queued (empty when fused or when
   /// the pass never ran). Surfaced in ToString() and the bench JSON so a
-  /// "why didn't my chain fuse" question has a first-class answer.
+  /// "why didn't this edge fuse" question has a first-class answer.
   std::string veto;
 };
 
 /// A small dataflow IR over a built Topology: nodes for components, edges
 /// for subscriptions, annotated with grouping / delivery / shard facts.
-/// The fusion pass (DESIGN.md §13) rewrites eligible edges from kQueued to
-/// kFused and groups the resulting maximal fused paths into chains; the
-/// engine then materializes each chain as one in-thread fused operator.
+/// The fusion pass (DESIGN.md §13) rewrites every edge whose consumer
+/// tasks each have exactly one producer task from kQueued to kFused; the
+/// engine then delivers over that edge by running the consumer inline on
+/// the producer's thread.
 class TopologyPlan {
  public:
   /// Lowers a validated topology into the IR. All edges start kQueued.
@@ -72,18 +73,13 @@ class TopologyPlan {
                                const PlanEdge& edge,
                                const FusionOptions& options);
 
-  /// Rewrites every legal edge to kFused (stamping `veto` on the rest) and
-  /// rebuilds chains(). Idempotent; safe to call with fusion disabled (all
-  /// edges stay queued, chains() comes back empty).
+  /// Rewrites every legal edge to kFused (stamping `veto` on the rest).
+  /// Idempotent; safe to call with fusion disabled (all edges stay
+  /// queued).
   void RunFusionPass(const FusionOptions& options);
 
   const std::vector<PlanNode>& nodes() const { return nodes_; }
   const std::vector<PlanEdge>& edges() const { return edges_; }
-
-  /// Maximal fused paths, each a list of node indices [head, ..., tail]
-  /// with every consecutive pair joined by a kFused edge. A node appears
-  /// in at most one chain; single nodes are not chains.
-  const std::vector<std::vector<size_t>>& chains() const { return chains_; }
 
   size_t fused_edge_count() const;
 
@@ -93,7 +89,6 @@ class TopologyPlan {
  private:
   std::vector<PlanNode> nodes_;
   std::vector<PlanEdge> edges_;
-  std::vector<std::vector<size_t>> chains_;
 };
 
 }  // namespace streamlib::platform

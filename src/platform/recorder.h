@@ -53,7 +53,7 @@ namespace streamlib::platform {
 inline constexpr uint32_t kRecordingMagic = 0x52464c53u;  // "SLFR"
 /// Version 2 dropped version 1's bolt-batch flag byte from the meta
 /// config (batched delivery is no longer a knob); version 3 appends the
-/// enable_fusion byte (replay runs the recorded plan, fused chains
+/// enable_fusion byte (replay runs the recorded plan, fused edges
 /// included). Readers accept only the current version, so an older file is
 /// a typed InvalidArgument.
 inline constexpr uint32_t kRecordingVersion = 3;

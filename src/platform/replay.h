@@ -23,7 +23,7 @@ namespace streamlib::platform {
 /// replayer is not a second engine: it builds the real TopologyEngine from
 /// the recorded config and drives it through the engine's single-threaded
 /// drive mode — the same tasks, routing, staging, hop executor, fused
-/// chains, fault sites and ack ledger a live run uses, under a ManualClock
+/// edges, fault sites and ack ledger a live run uses, under a ManualClock
 /// (injected delays and stalls return at once), with the sampler and
 /// tracing off. Recorded spout emissions are injected into the spout
 /// task's own collector; every other nondeterministic decision — shuffle
@@ -49,8 +49,8 @@ namespace streamlib::platform {
 /// draws them per message, before the message runs, so batched and
 /// per-tuple delivery consult the site identically. The live ack timeout
 /// must also be long enough that only structurally unresolvable trees
-/// fail. Fusion needs no condition: a fused chain runs on its head's
-/// thread in program order, live and replayed alike.
+/// fail. Fusion needs no condition: a fused hop runs inline on its
+/// producer's thread in program order, live and replayed alike.
 ///
 /// Epoch checkpointing (DESIGN.md §12) is outside this contract entirely:
 /// recording requires epoch_interval_tuples == 0 and resume_from_epoch ==
@@ -65,7 +65,7 @@ struct Breakpoint {
   enum class Kind {
     /// Pause before task `task` (global index) executes its `count`th
     /// queued input tuple (1-based). A fused follower has no queue: its
-    /// inputs run inside its chain head's step, so this never fires on one.
+    /// inputs run inside its head's step, so this never fires on one.
     kTaskTuple,
     /// Pause as soon as the replayed FaultPlan has injected any fault.
     kFirstFault,
@@ -92,8 +92,8 @@ struct ReplayOptions {
 
 /// Deterministic single-threaded re-execution of one RecordedRun.
 ///
-/// Unit of progress: one spout emission injected (with every fused stage
-/// it runs inline), or one queued delivery executed at a bolt (likewise).
+/// Unit of progress: one spout emission injected (with every fused hop it
+/// runs inline), or one queued delivery executed at a bolt (likewise).
 /// Deliveries run in the order their flushes reached the queues, and each
 /// emission's full tuple tree drains before the next emission. Under
 /// at-least-once the ack ledger is applied after every unit and a root

@@ -386,6 +386,7 @@ TEST(EngineBatchingTest, SpscChainConservesTuples) {
     EngineConfig config;
     config.mode = ExecutionMode::kDedicated;
     config.enable_spsc = enable_spsc;
+    config.enable_fusion = false;  // The rings under test are queued edges.
     TopologyEngine engine(builder.Build().value(), config);
     engine.Run();
 

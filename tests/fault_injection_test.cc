@@ -132,6 +132,7 @@ ChaosRunResult RunAtMostOnceChain(const FaultSpec& spec, uint64_t n,
   config.mode = mode;
   config.semantics = DeliverySemantics::kAtMostOnce;
   config.faults = spec;
+  config.enable_fusion = false;  // Queue stalls need input queues.
   TopologyEngine engine(builder.Build().value(), config);
   engine.Run();
 

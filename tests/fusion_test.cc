@@ -1,6 +1,7 @@
 // Fused-operator topology compilation (DESIGN.md §13): the dataflow IR's
-// shape, every fusion-legality veto, engine execution through fused chains
-// (counts and results identical to the queued baseline), the
+// shape, the fusion-legality rule and its vetoes, engine execution over
+// fused edges — chains, 1->N fields fan-outs and two-arm spouts (counts,
+// roots and sketch bytes identical to the queued baseline), the
 // fused-vs-queued fault-schedule equality contract, batched ≡ per-tuple
 // delivery (fault draws, blast radius, state; exactly-once included), and
 // the injectable-Clock alignment-timeout determinism fix.
@@ -13,6 +14,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,6 +33,8 @@
 #include "platform/plan.h"
 #include "platform/recorder.h"
 #include "platform/topology.h"
+#include "chaos_util.h"
+#include "test_seed.h"
 
 namespace streamlib::platform {
 namespace {
@@ -115,7 +119,6 @@ TEST(TopologyPlanTest, IrMirrorsTopologyShape) {
   EXPECT_EQ(first.grouping.kind, GroupingKind::kShuffle);
   EXPECT_EQ(first.shards, 1u);
   EXPECT_EQ(first.channel, EdgeChannel::kQueued);  // Pass not run yet.
-  EXPECT_TRUE(plan.chains().empty());
 }
 
 TEST(TopologyPlanTest, FusesThreeStageShuffleChain) {
@@ -123,8 +126,6 @@ TEST(TopologyPlanTest, FusesThreeStageShuffleChain) {
   TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), FusionOn());
 
   EXPECT_EQ(plan.fused_edge_count(), 2u);
-  ASSERT_EQ(plan.chains().size(), 1u);
-  EXPECT_EQ(plan.chains()[0], (std::vector<size_t>{0, 1, 2}));
   for (const PlanEdge& edge : plan.edges()) {
     EXPECT_EQ(edge.channel, EdgeChannel::kFused);
     EXPECT_TRUE(edge.veto.empty());
@@ -132,32 +133,70 @@ TEST(TopologyPlanTest, FusesThreeStageShuffleChain) {
   EXPECT_NE(plan.ToString().find("FUSED"), std::string::npos);
 }
 
-TEST(TopologyPlanTest, DisabledByDefault) {
+TEST(TopologyPlanTest, EnabledByDefault) {
   TupleSink sink;
-  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), FusionOptions{});
+  EXPECT_TRUE(EngineConfig{}.enable_fusion);
+  EXPECT_EQ(PlanFor(ThreeStageChain(&sink, 1), FusionOptions{})
+                .fused_edge_count(),
+            2u);
+
+  FusionOptions off;
+  off.enable_fusion = false;
+  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), off);
   EXPECT_EQ(plan.fused_edge_count(), 0u);
-  EXPECT_TRUE(plan.chains().empty());
   for (const PlanEdge& edge : plan.edges()) {
     EXPECT_EQ(edge.veto, "fusion disabled");
   }
 }
 
-// Each legality rule refuses with a typed Status and a stamped veto.
+/// src x`producers` -> sink x`consumers` over `grouping`.
+Topology TwoStage(TupleSink* sink, uint32_t producers, uint32_t consumers,
+                  Grouping grouping) {
+  TopologyBuilder builder;
+  builder.AddSpout("src", [] { return MakeCountingSpout(1); }, producers);
+  builder.AddBolt(
+      "sink",
+      [sink]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<SinkBolt>(sink);
+      },
+      consumers, {{"src", grouping}});
+  return builder.Build().value();
+}
 
+// The one structural rule: a single-input consumer whose tasks each have
+// exactly one producer task fuses. A parallelism-1 producer feeds every
+// consumer task alone, whatever the grouping.
+TEST(FusionLegalityTest, SingleProducerFusesEveryGrouping) {
+  TupleSink sink;
+  for (const Grouping& grouping :
+       {Grouping::Fields(0), Grouping::Broadcast(), Grouping::Global(),
+        Grouping::Shuffle()}) {
+    SCOPED_TRACE(GroupingKindName(grouping.kind));
+    const uint32_t consumers =
+        grouping.kind == GroupingKind::kGlobal ? 1 : 4;
+    TopologyPlan plan =
+        PlanFor(TwoStage(&sink, 1, consumers, grouping), FusionOn());
+    const PlanEdge& edge = EdgeBetween(plan, "src", "sink");
+    EXPECT_EQ(edge.channel, EdgeChannel::kFused) << plan.ToString();
+    EXPECT_TRUE(edge.veto.empty());
+  }
+  // An equal-parallelism shuffle pairs producer task i with consumer i.
+  TopologyPlan paired =
+      PlanFor(TwoStage(&sink, 3, 3, Grouping::Shuffle()), FusionOn());
+  EXPECT_EQ(paired.fused_edge_count(), 1u);
+}
+
+// Each refusal comes back as a typed Status and a stamped veto. With more
+// than one producer task, a fields, broadcast or global edge feeds each
+// consumer task from several threads: fan-in.
 TEST(FusionLegalityTest, FieldsGroupedEdgeRefuses) {
   TupleSink sink;
-  TopologyBuilder builder;
-  builder.AddSpout("src", [] { return MakeCountingSpout(1); });
-  builder.AddBolt(
-      "agg",
-      [&sink]() -> std::unique_ptr<Bolt> {
-        return std::make_unique<SinkBolt>(&sink);
-      },
-      1, {{"src", Grouping::Fields(0)}});
-  TopologyPlan plan = PlanFor(builder.Build().value(), FusionOn());
+  TopologyPlan plan =
+      PlanFor(TwoStage(&sink, 2, 3, Grouping::Fields(0)), FusionOn());
 
   EXPECT_EQ(plan.fused_edge_count(), 0u);
-  const PlanEdge& edge = EdgeBetween(plan, "src", "agg");
+  const PlanEdge& edge = EdgeBetween(plan, "src", "sink");
+  EXPECT_NE(edge.veto.find("fan-in: 2 producer tasks"), std::string::npos);
   EXPECT_NE(edge.veto.find("fields"), std::string::npos);
   const Status status = TopologyPlan::FusionLegality(
       plan.nodes()[edge.from], plan.nodes()[edge.to], edge, FusionOn());
@@ -166,35 +205,21 @@ TEST(FusionLegalityTest, FieldsGroupedEdgeRefuses) {
 
 TEST(FusionLegalityTest, BroadcastEdgeRefuses) {
   TupleSink sink;
-  TopologyBuilder builder;
-  builder.AddSpout("src", [] { return MakeCountingSpout(1); });
-  builder.AddBolt(
-      "fan",
-      [&sink]() -> std::unique_ptr<Bolt> {
-        return std::make_unique<SinkBolt>(&sink);
-      },
-      1, {{"src", Grouping::Broadcast()}});
-  TopologyPlan plan = PlanFor(builder.Build().value(), FusionOn());
+  TopologyPlan plan =
+      PlanFor(TwoStage(&sink, 2, 3, Grouping::Broadcast()), FusionOn());
   EXPECT_EQ(plan.fused_edge_count(), 0u);
-  EXPECT_NE(EdgeBetween(plan, "src", "fan").veto.find("broadcast"),
+  EXPECT_NE(EdgeBetween(plan, "src", "sink").veto.find("broadcast"),
             std::string::npos);
 }
 
 TEST(FusionLegalityTest, MixedParallelismRefuses) {
   TupleSink sink;
-  TopologyBuilder builder;
-  builder.AddSpout("src", [] { return MakeCountingSpout(1); });
-  builder.AddBolt(
-      "wide",
-      [&sink]() -> std::unique_ptr<Bolt> {
-        return std::make_unique<SinkBolt>(&sink);
-      },
-      4, {{"src", Grouping::Shuffle()}});
-  TopologyPlan plan = PlanFor(builder.Build().value(), FusionOn());
+  TopologyPlan plan =
+      PlanFor(TwoStage(&sink, 2, 4, Grouping::Shuffle()), FusionOn());
 
   EXPECT_EQ(plan.fused_edge_count(), 0u);
-  const PlanEdge& edge = EdgeBetween(plan, "src", "wide");
-  EXPECT_NE(edge.veto.find("mismatched parallelism"), std::string::npos);
+  const PlanEdge& edge = EdgeBetween(plan, "src", "sink");
+  EXPECT_NE(edge.veto.find("fan-in: 2 producer tasks"), std::string::npos);
   const Status status = TopologyPlan::FusionLegality(
       plan.nodes()[edge.from], plan.nodes()[edge.to], edge, FusionOn());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
@@ -202,21 +227,20 @@ TEST(FusionLegalityTest, MixedParallelismRefuses) {
 
 TEST(FusionLegalityTest, GlobalGroupingFusesOnlyAtParallelismOne) {
   TupleSink sink;
-  TopologyBuilder builder;
-  builder.AddSpout("src", [] { return MakeCountingSpout(1); }, 2);
-  builder.AddBolt(
-      "gather",
-      [&sink]() -> std::unique_ptr<Bolt> {
-        return std::make_unique<SinkBolt>(&sink);
-      },
-      1, {{"src", Grouping::Global()}});
-  TopologyPlan plan = PlanFor(builder.Build().value(), FusionOn());
+  TopologyPlan plan =
+      PlanFor(TwoStage(&sink, 2, 1, Grouping::Global()), FusionOn());
   EXPECT_EQ(plan.fused_edge_count(), 0u);
-  EXPECT_NE(EdgeBetween(plan, "src", "gather").veto.find("parallelism 1"),
+  EXPECT_NE(EdgeBetween(plan, "src", "sink").veto.find("global"),
             std::string::npos);
+  EXPECT_EQ(
+      PlanFor(TwoStage(&sink, 1, 1, Grouping::Global()), FusionOn())
+          .fused_edge_count(),
+      1u);
 }
 
-TEST(FusionLegalityTest, FanInAndFanOutRefuse) {
+// A consumer with two input edges merges two producers' streams and stays
+// queued; a producer with two subscriptions fuses each arm that qualifies.
+TEST(FusionLegalityTest, FanInRefusesAndFanOutArmsFuse) {
   TupleSink sink;
   TopologyBuilder builder;
   builder.AddSpout("srcA", [] { return MakeCountingSpout(1); });
@@ -235,14 +259,16 @@ TEST(FusionLegalityTest, FanInAndFanOutRefuse) {
       [&sink]() -> std::unique_ptr<Bolt> {
         return std::make_unique<SinkBolt>(&sink);
       },
-      1, {{"merge", Grouping::Shuffle()}});
+      3, {{"merge", Grouping::Fields(0)}});
   TopologyPlan plan = PlanFor(builder.Build().value(), FusionOn());
 
-  EXPECT_EQ(plan.fused_edge_count(), 0u);
+  EXPECT_EQ(plan.fused_edge_count(), 2u);
   EXPECT_NE(EdgeBetween(plan, "srcA", "merge").veto.find("fan-in"),
             std::string::npos);
-  EXPECT_NE(EdgeBetween(plan, "merge", "left").veto.find("fan-out"),
+  EXPECT_NE(EdgeBetween(plan, "srcB", "merge").veto.find("fan-in"),
             std::string::npos);
+  EXPECT_EQ(EdgeBetween(plan, "merge", "left").channel, EdgeChannel::kFused);
+  EXPECT_EQ(EdgeBetween(plan, "merge", "right").channel, EdgeChannel::kFused);
 }
 
 TEST(FusionLegalityTest, MultiplexedModeRefuses) {
@@ -289,8 +315,6 @@ TEST(FusionLegalityTest, RecorderAttachedSpoutChainFuses) {
   std::remove(path.c_str());
 
   EXPECT_EQ(engine.fused_edges(), 2u);
-  ASSERT_EQ(engine.plan()->chains().size(), 1u);
-  EXPECT_EQ(engine.plan()->chains()[0], (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ(recorder.value()->records_written(), 50u);
   EXPECT_EQ(sink.Size(), 50u);
 }
@@ -308,9 +332,8 @@ struct RunOutcome {
   std::array<uint64_t, kNumFaultKinds> injected{};
 };
 
-RunOutcome RunChain(int64_t tuples, bool fuse, DeliverySemantics semantics,
-                    FaultSpec faults = FaultSpec{}) {
-  TupleSink sink;
+EngineConfig ChainConfig(bool fuse, DeliverySemantics semantics,
+                         const FaultSpec& faults) {
   EngineConfig config;
   config.semantics = semantics;
   config.enable_fusion = fuse;
@@ -318,11 +341,11 @@ RunOutcome RunChain(int64_t tuples, bool fuse, DeliverySemantics semantics,
   config.ack_timeout_seconds = 0.5;  // Poisoned roots fail fast.
   config.telemetry_sample_interval_ms = 0;
   config.faults = faults;
-  TopologyEngine engine(ThreeStageChain(&sink, tuples), config);
-  engine.Run();
+  return config;
+}
 
+RunOutcome Outcome(TopologyEngine& engine) {
   RunOutcome outcome;
-  outcome.sink_tuples = sink.Size();
   outcome.completed_roots = engine.completed_roots();
   outcome.failed_roots = engine.failed_roots();
   outcome.fused_edges = engine.fused_edges();
@@ -335,6 +358,17 @@ RunOutcome RunChain(int64_t tuples, bool fuse, DeliverySemantics semantics,
     outcome.site_stats = engine.fault_plan()->SiteStatsSnapshot();
     outcome.injected = engine.fault_plan()->Snapshot();
   }
+  return outcome;
+}
+
+RunOutcome RunChain(int64_t tuples, bool fuse, DeliverySemantics semantics,
+                    FaultSpec faults = FaultSpec{}) {
+  TupleSink sink;
+  TopologyEngine engine(ThreeStageChain(&sink, tuples),
+                        ChainConfig(fuse, semantics, faults));
+  engine.Run();
+  RunOutcome outcome = Outcome(engine);
+  outcome.sink_tuples = sink.Size();
   return outcome;
 }
 
@@ -370,13 +404,13 @@ TEST(FusedEngineTest, FusedCountsMatchQueuedAtLeastOnce) {
 }
 
 TEST(FusedEngineTest, FieldsTopologyFallsBackCleanly) {
-  // enable_fusion on an ineligible topology must be a clean no-op, not an
-  // error: the fields tail stays queued and results are untouched.
+  // An ineligible edge must fall back cleanly, not error: a fields edge
+  // out of two producer tasks stays queued and results are untouched.
   TupleSink sink;
   TopologyBuilder builder;
   builder.AddSpout("src", [] { return MakeCountingSpout(2000); });
   builder.AddBolt(
-      "map", [] { return MakePassThroughBolt(); }, 1,
+      "map", [] { return MakePassThroughBolt(); }, 2,
       {{"src", Grouping::Shuffle()}});
   builder.AddBolt(
       "shard",
@@ -390,7 +424,7 @@ TEST(FusedEngineTest, FieldsTopologyFallsBackCleanly) {
   TopologyEngine engine(builder.Build().value(), config);
   engine.Run();
 
-  // src->map fuses (partial chain); map->shard stays queued for routing.
+  // src->map fuses (one producer task); map->shard is fan-in and queued.
   EXPECT_EQ(engine.fused_edges(), 1u);
   ASSERT_NE(engine.plan(), nullptr);
   EXPECT_NE(EdgeBetween(*engine.plan(), "map", "shard").veto.find("fields"),
@@ -447,6 +481,157 @@ TEST(FusedFaultScheduleTest, FusedHopsLoseAcksLikeQueuedHops) {
   EXPECT_EQ(fused.injected, queued.injected);
   EXPECT_EQ(fused.completed_roots, queued.completed_roots);
   EXPECT_EQ(fused.failed_roots, queued.failed_roots);
+}
+
+// ----------------------------------------- fused fan-out ≡ queued fan-out
+
+/// One count-min sketch per task of a component, owned by the test so the
+/// final bytes keep every applied effect across crash restarts.
+using ShardSketches = std::vector<CountMinSketch>;
+
+/// Adds field 0 to its task's sketch and re-emits the input.
+class ShardCmsBolt : public Bolt {
+ public:
+  explicit ShardCmsBolt(std::shared_ptr<ShardSketches> sketches)
+      : sketches_(std::move(sketches)) {}
+  void Prepare(uint32_t task_index, uint32_t) override { task_ = task_index; }
+  void Execute(const Tuple& input, OutputCollector* collector) override {
+    (*sketches_)[task_].Add(input.Str(0));
+    collector->Emit(Tuple(input));
+  }
+
+ private:
+  std::shared_ptr<ShardSketches> sketches_;
+  uint32_t task_ = 0;
+};
+
+std::shared_ptr<ShardSketches> MakeShardSketches(size_t tasks) {
+  return std::make_shared<ShardSketches>(tasks, CountMinSketch(256, 4));
+}
+
+void AddCmsBolt(TopologyBuilder& builder, const std::string& name,
+                std::shared_ptr<ShardSketches> sketches,
+                std::vector<Subscription> inputs) {
+  const auto parallelism = static_cast<uint32_t>(sketches->size());
+  builder.AddBolt(
+      name,
+      [sketches]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<ShardCmsBolt>(sketches);
+      },
+      parallelism, std::move(inputs));
+}
+
+/// The two fan-out shapes that only per-edge fusion runs inline: a 1->4
+/// fields edge behind a fused relay, and a spout whose two arms (1->3
+/// fields, 1->1 global) both fuse. With `queued_tail` the sharded arm also
+/// fans in to `total`, an edge that stays queued past the fused ones. Its
+/// three producer threads interleave, so which of total's inputs a fault
+/// hits would depend on timing: fault runs leave it out.
+enum class FanOut { kFieldsOneToMany, kTwoArmSpout };
+
+struct FanOutRun {
+  RunOutcome outcome;
+  std::vector<std::vector<uint8_t>> sketches;  // Per component, per task.
+};
+
+FanOutRun RunFanOut(FanOut shape, int64_t tuples, bool fuse,
+                    const FaultSpec& faults, bool queued_tail,
+                    size_t execute_batch_size = 128) {
+  std::vector<std::shared_ptr<ShardSketches>> components;
+  TopologyBuilder builder;
+  builder.AddSpout("src", [tuples] { return MakeCountingSpout(tuples); });
+  if (shape == FanOut::kFieldsOneToMany) {
+    builder.AddBolt(
+        "relay", [] { return MakePassThroughBolt(); }, 1,
+        {{"src", Grouping::Shuffle()}});
+    components.push_back(MakeShardSketches(4));
+    AddCmsBolt(builder, "cm", components.back(),
+               {{"relay", Grouping::Fields(0)}});
+  } else {
+    components.push_back(MakeShardSketches(3));
+    AddCmsBolt(builder, "cm", components.back(),
+               {{"src", Grouping::Fields(0)}});
+    components.push_back(MakeShardSketches(1));
+    AddCmsBolt(builder, "tally", components.back(),
+               {{"src", Grouping::Global()}});
+    if (queued_tail) {
+      components.push_back(MakeShardSketches(1));
+      AddCmsBolt(builder, "total", components.back(),
+                 {{"cm", Grouping::Global()}});
+    }
+  }
+  EngineConfig config =
+      ChainConfig(fuse, DeliverySemantics::kAtLeastOnce, faults);
+  config.ack_timeout_seconds = SanitizerScaled(0.5);
+  config.execute_batch_size = execute_batch_size;
+  TopologyEngine engine(builder.Build().value(), config);
+  engine.Run();
+
+  FanOutRun run;
+  run.outcome = Outcome(engine);
+  for (const auto& sketches : components) {
+    for (const CountMinSketch& sketch : *sketches) {
+      run.sketches.push_back(state::ToBlob(sketch));
+    }
+  }
+  return run;
+}
+
+TEST(FusedFanOutTest, FusedFanOutMatchesQueued) {
+  for (const FanOut shape : {FanOut::kFieldsOneToMany, FanOut::kTwoArmSpout}) {
+    SCOPED_TRACE(shape == FanOut::kFieldsOneToMany ? "fields" : "two-arm");
+    const FanOutRun queued = RunFanOut(shape, 3000, false, FaultSpec{}, true);
+    const FanOutRun fused = RunFanOut(shape, 3000, true, FaultSpec{}, true);
+    EXPECT_EQ(queued.outcome.fused_edges, 0u);
+    EXPECT_EQ(fused.outcome.fused_edges, 2u);
+    EXPECT_EQ(fused.outcome.completed_roots, 3000u);
+    EXPECT_EQ(fused.outcome.failed_roots, 0u);
+    EXPECT_EQ(queued.outcome.completed_roots, 3000u);
+    EXPECT_EQ(fused.outcome.emitted, queued.outcome.emitted);
+    EXPECT_EQ(fused.outcome.executed, queued.outcome.executed);
+    EXPECT_EQ(fused.sketches, queued.sketches);
+  }
+}
+
+// Same seed, same draws: every fault site consults its stream the same
+// number of times fused or queued, under each fault kind the hop executor
+// and the wire inject. Crash runs pop one message at a time on the queued
+// side, where a crash would otherwise kill the rest of a timing-dependent
+// batch; the crash budget never binds.
+TEST(FusedFanOutTest, FusedFanOutDrawsIdenticalFaultSchedule) {
+  FaultSpec drop_dup;
+  drop_dup.drop_tuple_prob = 0.04;
+  drop_dup.duplicate_tuple_prob = 0.04;
+  drop_dup.delay_delivery_prob = 0.02;
+  drop_dup.delay_max_micros = 1;
+  FaultSpec throws;
+  throws.bolt_throw_prob = 0.04;
+  FaultSpec crashes;
+  crashes.task_crash_prob = 0.01;
+  crashes.max_task_crashes = 1u << 20;
+  FaultSpec ack_loss;
+  ack_loss.acker_loss_prob = 0.04;
+  for (const FanOut shape : {FanOut::kFieldsOneToMany, FanOut::kTwoArmSpout}) {
+    for (FaultSpec faults : {drop_dup, throws, crashes, ack_loss}) {
+      SCOPED_TRACE(std::string(shape == FanOut::kFieldsOneToMany ? "fields"
+                                                                 : "two-arm") +
+                   " crash=" + std::to_string(faults.task_crash_prob));
+      faults.seed = TestSeed() ^ 0xfa0u;
+      const size_t pop = faults.task_crash_prob > 0 ? 1 : 128;
+      const FanOutRun queued =
+          RunFanOut(shape, 1500, false, faults, false, pop);
+      const FanOutRun fused = RunFanOut(shape, 1500, true, faults, false, pop);
+      ASSERT_FALSE(queued.outcome.site_stats.empty());
+      EXPECT_GT(std::accumulate(queued.outcome.injected.begin(),
+                                queued.outcome.injected.end(), uint64_t{0}),
+                0u);
+      EXPECT_EQ(fused.outcome.site_stats, queued.outcome.site_stats);
+      EXPECT_EQ(fused.outcome.injected, queued.outcome.injected);
+      EXPECT_EQ(fused.outcome.completed_roots, queued.outcome.completed_roots);
+      EXPECT_EQ(fused.outcome.failed_roots, queued.outcome.failed_roots);
+      EXPECT_EQ(fused.sketches, queued.sketches);
+    }
+  }
 }
 
 // ------------------------------------------ batched ≡ per-tuple delivery
@@ -561,6 +746,9 @@ DurableCmsOutcome RunDurableCms(bool batch_capable, size_t execute_batch_size,
   config.queue_capacity = 2 * kDurableCmsTuples;
   config.max_spout_pending = 2 * kDurableCmsTuples;
   config.execute_batch_size = execute_batch_size;
+  // Queued layout: the gated Prepare waits for the spout, which a fused
+  // bolt would block on its own thread.
+  config.enable_fusion = false;
   // Far above the milliseconds the stream needs: only fault-hit roots
   // time out.
   config.ack_timeout_seconds = 0.5;

@@ -326,6 +326,7 @@ TEST(TopologyEngineTest, BackpressureStallsAreCounted) {
   // Tiny queues + slow consumer => producers must hit backpressure.
   EngineConfig config;
   config.queue_capacity = 4;
+  config.enable_fusion = false;  // Stalls need a queue between the two.
   TupleSink sink;
   TopologyBuilder builder;
   auto counter = std::make_shared<std::atomic<uint64_t>>(0);
@@ -428,6 +429,9 @@ TEST(TopologyEngineTest, AtLeastOnceReplaysThroughLogSpout) {
   EngineConfig config;
   config.semantics = DeliverySemantics::kAtLeastOnce;
   config.ack_timeout_seconds = 0.05;
+  // Queued layout: a fused root's timer starts after its inline work, so
+  // the slow first delivery would never time out.
+  config.enable_fusion = false;
   TopologyEngine engine(builder.Build().value(), config);
   engine.Run();
 

@@ -1350,6 +1350,46 @@ SlidingHyperLogLog SlidingWithRanks(int precision,
   return std::move(sketch).value();
 }
 
+/// `count` random items into a fresh sketch; `sparse` keeps it in the
+/// exact hash set as long as it fits.
+HyperLogLog RandomHll(Rng& rng, int precision, bool sparse, size_t count) {
+  HyperLogLog hll(precision, sparse);
+  for (size_t i = 0; i < count; i++) hll.Add(rng.Next());
+  return hll;
+}
+
+TEST(HllMergePropertyTest, MergeEqualsPerRegisterMaxByteForByte) {
+  Rng rng(TestSeed() ^ 0x3e76);
+  for (int trial = 0; trial < 60; trial++) {
+    const int precision = 4 + static_cast<int>(rng.NextBounded(15));  // 4..18
+    const bool a_sparse = trial % 2 == 0;
+    const bool b_sparse = trial % 4 < 2;
+    const size_t registers = size_t{1} << precision;
+    HyperLogLog a = RandomHll(rng, precision, a_sparse,
+                              rng.NextBounded(2 * registers + 1));
+    HyperLogLog b = RandomHll(rng, precision, b_sparse,
+                              rng.NextBounded(2 * registers + 1));
+    SCOPED_TRACE("precision " + std::to_string(precision) + ", sparse " +
+                 std::to_string(a.IsSparse()) + "/" +
+                 std::to_string(b.IsSparse()));
+    // Serialize() writes the precision byte, then every dense register.
+    const std::vector<uint8_t> a_bytes = a.Serialize();
+    const std::vector<uint8_t> b_bytes = b.Serialize();
+    std::vector<uint8_t> want = a_bytes;
+    for (size_t i = 1; i < want.size(); i++) {
+      want[i] = std::max(a_bytes[i], b_bytes[i]);
+    }
+    HyperLogLog merged = a;
+    ASSERT_TRUE(merged.Merge(b).ok());
+    EXPECT_EQ(merged.Serialize(), want);
+
+    HyperLogLog self = a;
+    ASSERT_TRUE(self.Merge(self).ok());
+    EXPECT_EQ(self.IsSparse(), a.IsSparse());
+    EXPECT_EQ(self.Serialize(), a_bytes);
+  }
+}
+
 TEST(HllEstimatePropertyTest, TableSumsMatchLdexpBitForBit) {
   Rng rng(TestSeed() ^ 0x2e57);
   for (int trial = 0; trial < 40; trial++) {

@@ -105,11 +105,13 @@ struct PipelineParts {
 // Every run-phase bolt has exactly one producer task, as the replay
 // determinism contract requires. With `log` set the spout replays the
 // log (at-least-once redelivery included); otherwise it generates
-// `n` words from `seed`.
+// `n` words from `seed`. With `cm_source` "src", cm subscribes to the
+// spout directly: the spout then has two arms and relay is a leaf.
 Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
                        std::shared_ptr<ReplayableLog> log = nullptr,
                        int64_t diverge_at = -1, uint32_t cm_parallelism = 3,
-                       uint64_t checkpoint_every = 48) {
+                       uint64_t checkpoint_every = 48,
+                       const char* cm_source = "relay") {
   TopologyBuilder builder;
   if (log != nullptr) {
     const uint64_t end = log->Size();
@@ -141,7 +143,7 @@ Topology BuildPipeline(uint64_t seed, uint64_t n, PipelineParts* parts,
             FieldKeyBatchUpdate<CountMinSketch>(0),
             SketchCheckpoint{store.get(), "cm", checkpoint_every});
       },
-      cm_parallelism, {{"relay", Grouping::Fields(0)}});
+      cm_parallelism, {{cm_source, Grouping::Fields(0)}});
   auto merged = parts->merged;
   builder.AddBolt(
       "merge",
@@ -491,7 +493,8 @@ EngineConfig TortureConfig(uint64_t seed, uint64_t k) {
     config.faults.queue_stall_micros = 30;
   }
   // Half the dedicated seeds fuse (the multiplexed pool never does): the
-  // src->relay edge then runs inline, live and replayed alike.
+  // src->relay and 1->3 fields relay->cm edges then run inline, live and
+  // replayed alike.
   config.enable_fusion = k % 8 < 2;
   return config;
 }
@@ -624,8 +627,9 @@ TEST(RecordReplayChaosTest, CrashAndRestoreMidRecordingReplaysIdentically) {
 }
 
 // A recording of a fused plan replays through the same fused plan: the
-// src->relay edge runs inline on the spout's step under drops, dups,
-// delays, throws and stalls, and counters and sketch state still match.
+// src->relay and relay->cm edges run inline on the spout's step under
+// drops, dups, delays, throws and stalls, and counters and sketch state
+// still match.
 TEST(RecordReplayFusionTest, FusedSpoutEdgeReplaysBitIdentical) {
   const uint64_t seed = TestSeed() ^ 0xf05edu;
   const uint64_t n = 300;
@@ -654,6 +658,52 @@ TEST(RecordReplayFusionTest, FusedSpoutEdgeReplaysBitIdentical) {
   EXPECT_TRUE(verdict.ok()) << verdict.ToString();
   // relay is a fused follower: its inputs ran inside src's steps.
   EXPECT_EQ(replay.inputs_seen(1), 0u);
+  EXPECT_EQ(*live.merged, *replayed.merged);
+  for (uint32_t shard = 0; shard < 3; shard++) {
+    Result<std::vector<uint8_t>> blob = replay.BoltStateBlob("cm", shard);
+    ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+    Result<std::vector<uint8_t>> live_blob =
+        live.store->Fetch("cm:" + std::to_string(shard));
+    ASSERT_TRUE(live_blob.ok()) << live_blob.status().ToString();
+    EXPECT_EQ(blob.value(), live_blob.value());
+  }
+  std::remove(path.c_str());
+}
+
+// A fan-out-fused recording replays to a match: both arms of the spout
+// (src->relay, and the 1->3 fields edge src->cm) run inline on the
+// spout's step under drops, dups, delays, throws and stalls, while the
+// cm->merge fan-in stays queued.
+TEST(RecordReplayFusionTest, FanOutFusedSpoutReplaysBitIdentical) {
+  const uint64_t seed = TestSeed() ^ 0xfa4011u;
+  const uint64_t n = 300;
+  const auto build = [seed, n](PipelineParts* parts) {
+    return BuildPipeline(seed, n, parts, nullptr, -1, 3, 48, "src");
+  };
+  EngineConfig config = TortureConfig(seed, /*k=*/0);
+  config.enable_fusion = true;
+  const std::string path = TempPath("fanout.slfr");
+  PipelineParts live;
+  TopologyPlan plan;
+  const RecordedRun run = RecordRun(path, config, build(&live), &plan);
+  ASSERT_EQ(plan.fused_edge_count(), 2u) << plan.ToString();
+  for (const PlanEdge& edge : plan.edges()) {
+    EXPECT_EQ(edge.channel, plan.nodes()[edge.from].is_spout
+                                ? EdgeChannel::kFused
+                                : EdgeChannel::kQueued)
+        << plan.ToString();
+  }
+  ASSERT_GT(run.summary.faults_by_kind[static_cast<size_t>(
+                FaultKind::kDropTuple)],
+            0u);
+
+  PipelineParts replayed;
+  ReplayEngine replay(build(&replayed), run);
+  ASSERT_TRUE(replay.Prepare().ok());
+  EXPECT_EQ(replay.Run(), ReplayStop::kEnd);
+  const Status verdict = replay.CompareWithRecorded();
+  EXPECT_TRUE(verdict.ok()) << verdict.ToString();
+  EXPECT_FALSE(live.merged->empty());
   EXPECT_EQ(*live.merged, *replayed.merged);
   for (uint32_t shard = 0; shard < 3; shard++) {
     Result<std::vector<uint8_t>> blob = replay.BoltStateBlob("cm", shard);
@@ -723,16 +773,20 @@ TEST(RecordReplayBroadcastTest, SpoutBroadcastUnderAtLeastOnceReplays) {
 
 // A quiet (no faults, at-most-once) recording for the debugger-surface
 // tests. Global task indices: src=0, relay=1, cm=2..4, merge=5.
-RecordedRun QuietRecording(uint64_t seed, uint64_t n, PipelineParts* live) {
+RecordedRun QuietRecording(uint64_t seed, uint64_t n, PipelineParts* live,
+                           bool enable_fusion = true) {
   EngineConfig config;
   config.telemetry_sample_interval_ms = 0;
+  config.enable_fusion = enable_fusion;
   return RecordRun(TempPath("quiet.slfr"), config,
                    BuildPipeline(seed, n, live));
 }
 
 TEST(ReplayBreakpointTest, TaskTuplePausesBeforeTheNthInput) {
   PipelineParts live;
-  const RecordedRun run = QuietRecording(TestSeed() ^ 0xb1, 30, &live);
+  // Queued layout: a fused relay has no queued inputs to break on.
+  const RecordedRun run = QuietRecording(TestSeed() ^ 0xb1, 30, &live,
+                                         /*enable_fusion=*/false);
   PipelineParts replayed;
   ReplayEngine replay(BuildPipeline(0, 0, &replayed), run);
   ASSERT_TRUE(replay.Prepare().ok());
@@ -790,7 +844,9 @@ TEST(ReplayBreakpointTest, CheckpointPausesAfterKPuts) {
 
 TEST(ReplayStepTest, StepsOneUnitAtATimeToTheEnd) {
   PipelineParts live;
-  const RecordedRun run = QuietRecording(TestSeed() ^ 0x57e9, 10, &live);
+  // Queued layout: fused deliveries run inside their producer's step.
+  const RecordedRun run = QuietRecording(TestSeed() ^ 0x57e9, 10, &live,
+                                         /*enable_fusion=*/false);
   PipelineParts replayed;
   ReplayEngine replay(BuildPipeline(0, 0, &replayed), run);
   ASSERT_TRUE(replay.Prepare().ok());

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -212,12 +214,24 @@ TEST(MetricsSamplerTest, GaugeProbeFeedsWatermark) {
   registry.Freeze();
 
   std::atomic<size_t> depth{0};
+  // Signalled once the probe has handed 17 to the sampler: depth drops to
+  // 5 only after a sample is known to carry 17, however slow the host.
+  std::promise<void> returned_17;
+  std::atomic<bool> signalled{false};
   std::vector<MetricsSampler::Probe> probes;
-  probes.push_back({&task, [&depth] { return depth.load(); }});
+  probes.push_back({&task, [&] {
+                      const size_t d = depth.load();
+                      if (d == 17 && !signalled.exchange(true)) {
+                        returned_17.set_value();
+                      }
+                      return d;
+                    }});
   MetricsSampler sampler(std::move(probes), 1);
   sampler.Start();
   depth = 17;
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  ASSERT_EQ(returned_17.get_future().wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "sampler never probed";
   depth = 5;
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   sampler.Stop();
