@@ -26,17 +26,14 @@
 #include <string>
 #include <vector>
 
-#include "bench_seed_baseline.h"
+#include "bench/bench_util.h"
 #include "common/hash.h"
 #include "common/random.h"
 #include "common/simd.h"
 #include "common/state.h"
 #include "core/cardinality/hyperloglog.h"
-#include "core/cardinality/sliding_hyperloglog.h"
 #include "core/filtering/blocked_bloom_filter.h"
-#include "core/filtering/bloom_filter.h"
 #include "core/frequency/count_min_sketch.h"
-#include "core/frequency/count_sketch.h"
 #include "core/frequency/dyadic_count_min.h"
 
 namespace streamlib {
@@ -48,10 +45,6 @@ struct KernelResult {
   double scalar_upd_per_sec = 0;
   double batch_upd_per_sec = 0;
   double speedup = 0;
-  /// Seed-era scalar loop (own TU, seed codegen — see bench_seed_baseline);
-  /// 0 when no frozen replica exists for this kernel.
-  double seed_upd_per_sec = 0;
-  double speedup_vs_seed = 0;
   bool state_identical = false;
 };
 
@@ -124,9 +117,8 @@ std::vector<KernelResult> RunAll(bool quick) {
 
   std::vector<KernelResult> out;
   // Canonical geometry 8192x4 (256 KiB, cache-resident): the compute-bound
-  // regime where indexing cost — the seed's per-row re-mix + 64-bit modulo
-  // vs. v2's one KM step + mask — is what's measured. The count_min_large
-  // row below covers the memory-bound regime.
+  // regime, where one KM step + mask per row is what's measured. The
+  // count_min_large row below covers the memory-bound regime.
   out.push_back(BenchKernel(
       "count_min", n, reps, [] { return CountMinSketch(8192, 4); },
       [&](CountMinSketch& s) { for (uint64_t k : keys) s.Add(k); },
@@ -134,12 +126,6 @@ std::vector<KernelResult> RunAll(bool quick) {
       [](const CountMinSketch& a, const CountMinSketch& b) {
         return BlobsEqual(a, b);
       }));
-  out.back().seed_upd_per_sec =
-      bench::SeedCountMinUpdatesPerSec(keys, 8192, 4, reps);
-  out.back().speedup_vs_seed =
-      out.back().batch_upd_per_sec / out.back().seed_upd_per_sec;
-  std::printf("  %-22s seed   %10.2f Mupd/s   vs seed %5.2fx\n", "",
-              out.back().seed_upd_per_sec / 1e6, out.back().speedup_vs_seed);
   // 65536x4 = 2 MiB: larger than L2, so every key costs `depth` scattered
   // cache lines and the batch path's win is prefetch overlap, not ALU.
   out.push_back(BenchKernel(
@@ -147,27 +133,6 @@ std::vector<KernelResult> RunAll(bool quick) {
       [&](CountMinSketch& s) { for (uint64_t k : keys) s.Add(k); },
       [&](CountMinSketch& s) { s.AddBatch(ks); },
       [](const CountMinSketch& a, const CountMinSketch& b) {
-        return BlobsEqual(a, b);
-      }));
-  out.back().seed_upd_per_sec =
-      bench::SeedCountMinUpdatesPerSec(keys, 65536, 4, reps);
-  out.back().speedup_vs_seed =
-      out.back().batch_upd_per_sec / out.back().seed_upd_per_sec;
-  std::printf("  %-22s seed   %10.2f Mupd/s   vs seed %5.2fx\n", "",
-              out.back().seed_upd_per_sec / 1e6, out.back().speedup_vs_seed);
-  out.push_back(BenchKernel(
-      "count_min_conservative", n, reps,
-      [] { return CountMinSketch(65536, 4, /*conservative=*/true); },
-      [&](CountMinSketch& s) { for (uint64_t k : keys) s.Add(k); },
-      [&](CountMinSketch& s) { s.AddBatch(ks); },
-      [](const CountMinSketch& a, const CountMinSketch& b) {
-        return BlobsEqual(a, b);
-      }));
-  out.push_back(BenchKernel(
-      "count_sketch", n, reps, [] { return CountSketch(65536, 5); },
-      [&](CountSketch& s) { for (uint64_t k : keys) s.Add(k); },
-      [&](CountSketch& s) { s.AddBatch(ks); },
-      [](const CountSketch& a, const CountSketch& b) {
         return BlobsEqual(a, b);
       }));
   out.push_back(BenchKernel(
@@ -187,46 +152,6 @@ std::vector<KernelResult> RunAll(bool quick) {
       [&](HyperLogLog& s) { s.AddBatch(ks); },
       [](const HyperLogLog& a, const HyperLogLog& b) {
         return BlobsEqual(a, b) && a.Estimate() == b.Estimate();
-      }));
-  out.back().seed_upd_per_sec =
-      bench::SeedHyperLogLogUpdatesPerSec(keys, 14, reps);
-  out.back().speedup_vs_seed =
-      out.back().batch_upd_per_sec / out.back().seed_upd_per_sec;
-  std::printf("  %-22s seed   %10.2f Mupd/s   vs seed %5.2fx\n", "",
-              out.back().seed_upd_per_sec / 1e6, out.back().speedup_vs_seed);
-  out.push_back(BenchKernel(
-      "sliding_hyperloglog", n, reps,
-      [] { return SlidingHyperLogLog(12, 1u << 20); },
-      [&](SlidingHyperLogLog& s) {
-        uint64_t t = 0;
-        for (uint64_t k : keys) s.Add(k, ++t);
-      },
-      [&](SlidingHyperLogLog& s) {
-        // Batched transport delivers a flush per tick: 256 keys/timestamp.
-        uint64_t t = 0;
-        for (size_t i = 0; i < keys.size(); i += 256) {
-          const size_t m = std::min<size_t>(256, keys.size() - i);
-          s.AddBatch(std::span<const uint64_t>(keys.data() + i, m), ++t);
-        }
-      },
-      [](const SlidingHyperLogLog&, const SlidingHyperLogLog&) {
-        // Different timestamp assignment by design (per-key vs per-flush);
-        // bit-identity for SHLL is asserted by the simd test suite where
-        // both sides share timestamps. Not comparable here.
-        return true;
-      }));
-  out.push_back(BenchKernel(
-      "bloom_filter", n, reps,
-      [&] { return BloomFilter::WithExpectedItems(n, 0.01); },
-      [&](BloomFilter& s) { for (uint64_t k : keys) s.Add(k); },
-      [&](BloomFilter& s) { s.AddBatch(ks); },
-      [&](const BloomFilter& a, const BloomFilter& b) {
-        if (a.FillRatio() != b.FillRatio()) return false;
-        for (size_t i = 0; i < 100000; i++) {
-          if (a.Contains(keys[i]) != b.Contains(keys[i])) return false;
-          if (a.Contains(~keys[i]) != b.Contains(~keys[i])) return false;
-        }
-        return true;
       }));
   out.push_back(BenchKernel(
       "blocked_bloom_filter", n, reps,
@@ -253,6 +178,7 @@ bool WriteJson(const std::string& path, bool quick,
   out << "{\n"
       << "  \"bench\": \"kernels\",\n"
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+      << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
       << "  \"simd_backend\": \"" << simd::BackendName() << "\",\n"
       << "  \"lanes\": " << simd::kLanes << ",\n"
       << "  \"kernels\": [\n";
@@ -261,12 +187,8 @@ bool WriteJson(const std::string& path, bool quick,
     out << "    {\"kernel\": \"" << r.kernel << "\", \"keys\": " << r.keys
         << ", \"scalar_upd_per_sec\": " << r.scalar_upd_per_sec
         << ", \"batch_upd_per_sec\": " << r.batch_upd_per_sec
-        << ", \"speedup\": " << r.speedup;
-    if (r.seed_upd_per_sec > 0) {
-      out << ", \"seed_upd_per_sec\": " << r.seed_upd_per_sec
-          << ", \"speedup_vs_seed\": " << r.speedup_vs_seed;
-    }
-    out << ", \"state_identical\": " << (r.state_identical ? "true" : "false")
+        << ", \"speedup\": " << r.speedup
+        << ", \"state_identical\": " << (r.state_identical ? "true" : "false")
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

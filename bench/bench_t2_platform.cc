@@ -8,10 +8,10 @@
 //     Storm's reliability model) — the throughput cost of guarantees.
 //   * queue capacity: the backpressure knob.
 //   * A-transport-batching: the batched data plane (per-target staging
-//     buffers + batch queue ops + SPSC rings) vs the per-tuple transport
-//     it replaced — measured as a full mode x semantics x grouping matrix
-//     on a 1-spout/4-bolt topology, with results written to
-//     BENCH_platform.json.
+//     buffers + batch queue ops + SPSC rings) measured as a full mode x
+//     semantics x grouping matrix on a 1-spout/4-bolt topology, with
+//     results written to BENCH_platform.json. The per-tuple plane it
+//     replaced is cited from its recorded numbers (EXPERIMENTS.md).
 //
 // Flags (handled before google-benchmark sees argv):
 //   --quick      reduced tuple counts, matrix + JSON only (the ctest
@@ -270,13 +270,12 @@ void PrintTables() {
 }
 
 // ---------------------------------------------------------------------------
-// A-transport-batching: batched vs per-tuple transport matrix.
+// A-transport-batching: the batched transport matrix.
 
 struct MatrixCell {
   ExecutionMode mode;
   DeliverySemantics semantics;
   GroupingKind grouping;
-  bool batched;  // false = emit/execute batch 1, no SPSC (per-tuple plane).
   uint64_t tuples = 0;
   double seconds = 0;
   double tuples_per_sec = 0;
@@ -344,13 +343,6 @@ void RunMatrixCell(MatrixCell& cell,
   config.trace_sample_every = trace_every;
   // A-transport measures queues: the 1->4 edge would otherwise fuse.
   config.enable_fusion = false;
-  if (!cell.batched) {
-    // The pre-batching data plane: one queue operation per tuple, no
-    // staging, no SPSC rings.
-    config.emit_batch_size = 1;
-    config.execute_batch_size = 1;
-    config.enable_spsc = false;
-  }
 
   TopologyEngine engine(builder.Build().value(), config);
   WallTimer timer;
@@ -389,13 +381,13 @@ bool WriteMatrixJson(const std::string& path, bool quick,
       << "  \"experiment\": \"A-transport-batching\",\n"
       << "  \"topology\": \"generator spout x1 -> work bolt x4\",\n"
       << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
+      << "  \"provenance\": " << bench::ProvenanceJson() << ",\n"
       << "  \"cells\": [\n";
   for (size_t i = 0; i < cells.size(); i++) {
     const MatrixCell& c = cells[i];
     out << "    {\"mode\": \"" << ModeName(c.mode) << "\", \"semantics\": \""
         << SemanticsName(c.semantics) << "\", \"grouping\": \""
-        << GroupingName(c.grouping) << "\", \"transport\": \""
-        << (c.batched ? "batched" : "unbatched") << "\", \"tuples\": "
+        << GroupingName(c.grouping) << "\", \"tuples\": "
         << c.tuples << ", \"seconds\": " << c.seconds
         << ", \"tuples_per_sec\": " << static_cast<uint64_t>(c.tuples_per_sec)
         << ", \"p50_latency_us\": " << c.p50_latency_us
@@ -408,27 +400,7 @@ bool WriteMatrixJson(const std::string& path, bool quick,
         << ", \"failed_roots\": " << c.failed << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
   }
-  out << "  ],\n  \"speedups\": [\n";
-  // Batched vs unbatched ratio per (mode, semantics, grouping) triple.
-  bool first = true;
-  for (const MatrixCell& b : cells) {
-    if (!b.batched) continue;
-    for (const MatrixCell& u : cells) {
-      if (u.batched || u.mode != b.mode || u.semantics != b.semantics ||
-          u.grouping != b.grouping) {
-        continue;
-      }
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"mode\": \"" << ModeName(b.mode)
-          << "\", \"semantics\": \"" << SemanticsName(b.semantics)
-          << "\", \"grouping\": \"" << GroupingName(b.grouping)
-          << "\", \"speedup\": "
-          << (u.tuples_per_sec > 0 ? b.tuples_per_sec / u.tuples_per_sec : 0)
-          << "}";
-    }
-  }
-  out << "\n  ],\n";
+  out << "  ],\n";
   WriteFusionSection(out, fusion_sketch_identical, fusion_cells);
   out << "\n}\n";
   return out.good();
@@ -446,47 +418,43 @@ bool RunTransportMatrix(bool quick, const std::string& out_path,
                                   DeliverySemantics::kAtLeastOnce}) {
       for (GroupingKind grouping :
            {GroupingKind::kShuffle, GroupingKind::kFields}) {
-        for (bool batched : {true, false}) {
-          MatrixCell best;
-          best.mode = mode;
-          best.semantics = sem;
-          best.grouping = grouping;
-          best.batched = batched;
-          best.tuples = quick ? (sem == DeliverySemantics::kAtMostOnce
-                                     ? 50000u
-                                     : 20000u)
-                              : (sem == DeliverySemantics::kAtMostOnce
-                                     ? 1000000u
-                                     : 300000u);
-          for (int rep = 0; rep < reps; rep++) {
-            MatrixCell attempt = best;
-            attempt.tuples_per_sec = 0;
-            RunMatrixCell(attempt);
-            if (attempt.tuples_per_sec > best.tuples_per_sec) best = attempt;
-          }
-          cells.push_back(best);
+        MatrixCell best;
+        best.mode = mode;
+        best.semantics = sem;
+        best.grouping = grouping;
+        best.tuples = quick ? (sem == DeliverySemantics::kAtMostOnce
+                                   ? 50000u
+                                   : 20000u)
+                            : (sem == DeliverySemantics::kAtMostOnce
+                                   ? 1000000u
+                                   : 300000u);
+        for (int rep = 0; rep < reps; rep++) {
+          MatrixCell attempt = best;
+          attempt.tuples_per_sec = 0;
+          RunMatrixCell(attempt);
+          if (attempt.tuples_per_sec > best.tuples_per_sec) best = attempt;
         }
+        cells.push_back(best);
       }
     }
   }
 
   bench::TableTitle("A-transport-batching",
-                    "batched lock-amortized transport vs per-tuple "
-                    "queue ops (spout x1 -> bolt x4)");
-  Row("%-12s %-14s %-8s %-10s | %12s %10s %10s %8s", "mode", "semantics",
-      "grouping", "transport", "tuples/s", "avg flush", "p99 us", "spsc");
+                    "batched lock-amortized transport "
+                    "(spout x1 -> bolt x4)");
+  Row("%-12s %-14s %-8s | %12s %10s %10s %8s", "mode", "semantics",
+      "grouping", "tuples/s", "avg flush", "p99 us", "spsc");
   for (const MatrixCell& c : cells) {
-    Row("%-12s %-14s %-8s %-10s | %12.0f %10.1f %10.0f %8llu",
-        ModeName(c.mode), SemanticsName(c.semantics), GroupingName(c.grouping),
-        c.batched ? "batched" : "unbatched", c.tuples_per_sec,
-        c.avg_flush_size, c.p99_latency_us,
+    Row("%-12s %-14s %-8s | %12.0f %10.1f %10.0f %8llu", ModeName(c.mode),
+        SemanticsName(c.semantics), GroupingName(c.grouping),
+        c.tuples_per_sec, c.avg_flush_size, c.p99_latency_us,
         static_cast<unsigned long long>(c.spsc_edges));
   }
   Row("paper-shape check (Section 3, throughput): amortizing per-tuple");
   Row("synchronization over batches lifts every mode x semantics cell;");
   Row("the single-producer dedicated pipeline additionally rides the");
-  Row("lock-free SPSC ring. Unbatched rows replay the per-tuple data");
-  Row("plane (emit/execute batch = 1, SPSC off) for the comparison.");
+  Row("lock-free SPSC ring. The per-tuple plane it replaced is cited from");
+  Row("its recorded numbers (EXPERIMENTS.md A-transport).");
 
   if (!WriteMatrixJson(out_path, quick, cells, fusion_sketch_identical,
                        fusion_cells)) {
@@ -510,7 +478,6 @@ void RunTelemetryOverhead(bool quick) {
     best.mode = ExecutionMode::kDedicated;
     best.semantics = DeliverySemantics::kAtMostOnce;
     best.grouping = GroupingKind::kShuffle;
-    best.batched = true;
     best.tuples = n;
     for (int rep = 0; rep < reps; rep++) {
       MatrixCell attempt = best;
@@ -1272,6 +1239,7 @@ struct FusionCell {
   double seconds = 0;
   double tuples_per_sec = 0;
   uint64_t fused_edges = 0;
+  uint64_t spsc_edges = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
 };
@@ -1349,6 +1317,7 @@ void RunFusionCell(FusionCell& cell) {
   cell.seconds = timer.ElapsedSeconds();
   cell.tuples_per_sec = static_cast<double>(cell.tuples) / cell.seconds;
   cell.fused_edges = engine.fused_edges();
+  cell.spsc_edges = engine.spsc_edges();
   cell.completed = engine.completed_roots();
   cell.failed = engine.failed_roots();
 }
@@ -1415,6 +1384,7 @@ void WriteFusionSection(std::ostream& out, bool sketch_identical,
         << ", \"seconds\": " << c.seconds << ", \"tuples_per_sec\": "
         << static_cast<uint64_t>(c.tuples_per_sec)
         << ", \"fused_edges\": " << c.fused_edges
+        << ", \"spsc_edges\": " << c.spsc_edges
         << ", \"completed_roots\": " << c.completed
         << ", \"failed_roots\": " << c.failed << "}"
         << (i + 1 < cells.size() ? "," : "") << "\n";
@@ -1479,15 +1449,16 @@ bool RunFusionMatrix(bool quick, std::vector<FusionCell>* cells_out,
                     "fused edges (inline on the producer thread, no "
                     "queue hop) vs queued execution of the identical "
                     "topology");
-  Row("%-20s %-14s | %12s %12s %8s %7s", "shape", "semantics", "queued t/s",
-      "fused t/s", "speedup", "edges");
+  Row("%-20s %-14s | %12s %12s %8s %7s %7s", "shape", "semantics",
+      "queued t/s", "fused t/s", "speedup", "edges", "rings");
   for (size_t i = 0; i + 1 < cells.size(); i += 2) {
     const FusionCell& f = cells[i];      // fused run pushed first
     const FusionCell& q = cells[i + 1];  // queued partner
-    Row("%-20s %-14s | %12.0f %12.0f %7.2fx %7llu", f.shape.c_str(),
+    Row("%-20s %-14s | %12.0f %12.0f %7.2fx %7llu %7llu", f.shape.c_str(),
         SemanticsName(f.semantics), q.tuples_per_sec, f.tuples_per_sec,
         q.tuples_per_sec > 0 ? f.tuples_per_sec / q.tuples_per_sec : 0,
-        static_cast<unsigned long long>(f.fused_edges));
+        static_cast<unsigned long long>(f.fused_edges),
+        static_cast<unsigned long long>(f.spsc_edges));
   }
   Row("sketch state fused vs queued: %s",
       sketch_identical ? "byte-identical" : "DIVERGED");

@@ -2,11 +2,25 @@
 #define STREAMLIB_BENCH_BENCH_UTIL_H_
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdarg>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
+
+// Build provenance, set by bench/CMakeLists.txt at configure time.
+#ifndef STREAMLIB_BENCH_COMMIT
+#define STREAMLIB_BENCH_COMMIT "unknown"
+#endif
+#ifndef STREAMLIB_BENCH_BUILD_TYPE
+#define STREAMLIB_BENCH_BUILD_TYPE "unknown"
+#endif
+#ifndef STREAMLIB_BENCH_OPTIONS
+#define STREAMLIB_BENCH_OPTIONS "unknown"
+#endif
 
 namespace streamlib::bench {
 
@@ -25,6 +39,51 @@ inline void Row(const char* format, ...) {
   std::vprintf(format, args);
   va_end(args);
   std::printf("\n");
+}
+
+/// Provenance of a repo-root BENCH_*.json, as a JSON object: host, CPU
+/// model and the ISA flags the kernels use, build type and CMake options,
+/// and the commit the build tree was configured from ("unknown" outside a
+/// git checkout, such as a `git archive` export).
+inline std::string ProvenanceJson() {
+  auto quoted = [](const std::string& raw) {
+    std::string out(1, '"');
+    for (char c : raw) {
+      if (c == '"' || c == '\\') out.push_back('\\');
+      if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
+    }
+    out.push_back('"');
+    return out;
+  };
+  std::string model = "unknown";
+  std::string flags;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos || colon + 2 > line.size()) continue;
+    if (line.rfind("model name", 0) == 0 && model == "unknown") {
+      model = line.substr(colon + 2);
+    } else if (line.rfind("flags", 0) == 0 && flags.empty()) {
+      flags = line.substr(colon + 2);
+    }
+  }
+  char host[256] = "unknown";
+  gethostname(host, sizeof(host) - 1);
+  std::ostringstream o;
+  o << "{\"host\": " << quoted(host) << ", \"cpu_model\": " << quoted(model)
+    << ", \"cpu_flags\": {";
+  const char* isa[] = {"avx2", "bmi1", "bmi2", "abm"};
+  for (size_t i = 0; i < std::size(isa); i++) {
+    std::istringstream words(flags);
+    bool has = false;
+    for (std::string w; !has && words >> w;) has = w == isa[i];
+    o << (i > 0 ? ", " : "") << quoted(isa[i]) << ": "
+      << (has ? "true" : "false");
+  }
+  o << "}, \"build_type\": " << quoted(STREAMLIB_BENCH_BUILD_TYPE)
+    << ", \"build_options\": " << quoted(STREAMLIB_BENCH_OPTIONS)
+    << ", \"commit\": " << quoted(STREAMLIB_BENCH_COMMIT) << "}";
+  return o.str();
 }
 
 /// Standard main body: run the registered google-benchmark timings, then

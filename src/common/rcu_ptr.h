@@ -1,40 +1,32 @@
 #ifndef STREAMLIB_COMMON_RCU_PTR_H_
 #define STREAMLIB_COMMON_RCU_PTR_H_
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <utility>
 
 /// \file rcu_ptr.h
 /// RCU-style publication pointer: writers swap in whole immutable objects,
-/// readers take one lock-free acquire-load and hold the object alive through
-/// shared ownership. This is the publication primitive behind the
+/// readers copy out a shared_ptr and hold the object alive through shared
+/// ownership. This is the publication primitive behind the
 /// snapshot-isolated Lambda read path (DESIGN.md §14).
 ///
-/// Under ThreadSanitizer the implementation switches to a mutex-guarded
-/// shared_ptr. libstdc++'s `std::atomic<std::shared_ptr>` guards its raw
-/// pointer with an embedded spinlock whose reader-side unlock is relaxed
-/// (`_Sp_atomic::load` ends with `unlock(memory_order_relaxed)`), so there is
-/// no release edge from a reader's critical section to the next writer's
-/// acquire and TSan reports the plain pointer accesses as a race. Mutual
-/// exclusion makes it benign on real hardware; the fallback exists purely so
-/// the sanitizer can see the synchronization, and production builds keep the
-/// lock-free path.
-
-#if defined(__SANITIZE_THREAD__)
-#define STREAMLIB_RCU_PTR_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define STREAMLIB_RCU_PTR_TSAN 1
-#endif
-#endif
+/// One implementation for every build, so the ThreadSanitizer build checks
+/// the code that ships. A mutex guards the pointer copy: libstdc++ 12's
+/// `std::atomic<std::shared_ptr>` is itself lock-based (`_Sp_atomic`, an
+/// embedded spinlock), so it is not lock-free either, and its reader-side
+/// unlock is relaxed, which TSan reports as a race. The critical section
+/// is a refcount increment. Against the atomic form, the mutex reads 2-3x
+/// the front-end qps with four or more readers (the spinlock busy-waits),
+/// overlaps it with one or two, and leaves perfbench `dashboard_reads`
+/// unchanged (EXPERIMENTS.md I-serving-qps, P-perfbench).
 
 namespace streamlib {
 
 /// Publication point for immutable, shared-ownership snapshots of T.
-/// `load()` is wait-free for readers (one atomic acquire-load + refcount);
-/// `store()` release-publishes a replacement. Writers are expected to
+/// `load()` copies the current snapshot out (one uncontended lock plus a
+/// refcount increment); `store()` publishes a replacement, and the old
+/// snapshot is released outside the lock. Writers are expected to
 /// serialize externally (publication order is the caller's contract).
 template <typename T>
 class RcuPtr {
@@ -43,32 +35,23 @@ class RcuPtr {
   RcuPtr(const RcuPtr&) = delete;
   RcuPtr& operator=(const RcuPtr&) = delete;
 
-#ifdef STREAMLIB_RCU_PTR_TSAN
   std::shared_ptr<const T> load() const {
     std::lock_guard<std::mutex> lock(mu_);
     return ptr_;
   }
 
   void store(std::shared_ptr<const T> next) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ptr_ = std::move(next);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ptr_.swap(next);
+    }
+    // `next` now holds the previous snapshot; its destructor (possibly the
+    // last owner) runs here, outside the lock.
   }
 
  private:
   mutable std::mutex mu_;
   std::shared_ptr<const T> ptr_;
-#else
-  std::shared_ptr<const T> load() const {
-    return ptr_.load(std::memory_order_acquire);
-  }
-
-  void store(std::shared_ptr<const T> next) {
-    ptr_.store(std::move(next), std::memory_order_release);
-  }
-
- private:
-  std::atomic<std::shared_ptr<const T>> ptr_;
-#endif
 };
 
 }  // namespace streamlib

@@ -32,11 +32,6 @@ void SlidingHyperLogLog::AddHash(uint64_t hash, uint64_t timestamp) {
   lfpm.push_back(Entry{timestamp, probe.rank});
 }
 
-void SlidingHyperLogLog::AddHashBatch(std::span<const uint64_t> hashes,
-                                      uint64_t timestamp) {
-  for (uint64_t hash : hashes) AddHash(hash, timestamp);
-}
-
 double SlidingHyperLogLog::Estimate(uint64_t now, uint64_t window) const {
   STREAMLIB_CHECK_MSG(window >= 1 && window <= max_window_,
                       "window out of range");

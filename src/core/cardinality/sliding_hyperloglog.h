@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -24,7 +23,7 @@ class SlidingHyperLogLog {
   static constexpr state::TypeId kTypeId = state::TypeId::kSlidingHyperLogLog;
   static constexpr uint16_t kStateVersion = 1;
 
-  /// Digest seed — public so batched feeders can pre-hash keys once.
+  /// Digest seed — public so callers can pre-hash keys for AddHash.
   static constexpr uint64_t kHashSeed = 0x5bd1e9955bd1e995ULL;
 
   /// \param precision   p in [4, 16]; 2^p registers.
@@ -38,35 +37,6 @@ class SlidingHyperLogLog {
   }
 
   void AddHash(uint64_t hash, uint64_t timestamp);
-
-  /// Batched AddHash: all digests arrive at the same `timestamp` (the
-  /// batched-transport case — one flush shares an arrival tick). LFPM
-  /// pruning is order-dependent, so the per-register apply loop stays
-  /// sequential and bit-identical; the batch win is upstream vectorized
-  /// hashing via AddBatch.
-  void AddHashBatch(std::span<const uint64_t> hashes, uint64_t timestamp);
-
-  /// Batched Add over raw keys at one timestamp: vectorized hashing
-  /// (64-bit integral keys) feeding AddHashBatch. Bit-identical to N
-  /// scalar Add calls.
-  template <typename T>
-  void AddBatch(std::span<const T> keys, uint64_t timestamp) {
-    uint64_t digests[kBatchChunk];
-    for (size_t done = 0; done < keys.size();) {
-      const size_t n = keys.size() - done < kBatchChunk ? keys.size() - done
-                                                        : kBatchChunk;
-      if constexpr (std::is_integral_v<T> && sizeof(T) == sizeof(uint64_t)) {
-        HashBatch64(reinterpret_cast<const uint64_t*>(keys.data() + done), n,
-                    kHashSeed, digests);
-      } else {
-        for (size_t i = 0; i < n; i++) {
-          digests[i] = HashValue(keys[done + i], kHashSeed);
-        }
-      }
-      AddHashBatch(std::span<const uint64_t>(digests, n), timestamp);
-      done += n;
-    }
-  }
 
   /// Estimated distinct keys among arrivals in (now - window, now].
   /// `window` must be <= max_window; `now` >= the last Add timestamp.
@@ -91,8 +61,6 @@ class SlidingHyperLogLog {
   size_t MemoryBytes() const;
 
  private:
-  static constexpr size_t kBatchChunk = 64;
-
   struct Entry {
     uint64_t timestamp;
     uint8_t rank;

@@ -4,7 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace streamlib {
 
@@ -55,29 +54,6 @@ bool BloomFilter::ContainsHash(uint64_t hash) const {
     if ((words_[bit >> 6] & (uint64_t{1} << (bit & 63))) == 0) return false;
   }
   return true;
-}
-
-void BloomFilter::AddHashBatch(std::span<const uint64_t> hashes) {
-  constexpr size_t kAhead = 8;
-  for (size_t i = 0; i < hashes.size(); i++) {
-    if (i + kAhead < hashes.size()) {
-      // Prefetch the lead key's first probe word; the first base hash is
-      // the raw digest, so this costs one modulo, not a re-mix.
-      simd::PrefetchRead(&words_[(hashes[i + kAhead] % num_bits_) >> 6]);
-    }
-    AddHash(hashes[i]);
-  }
-}
-
-void BloomFilter::ContainsHashBatch(std::span<const uint64_t> hashes,
-                                    uint8_t* results) const {
-  constexpr size_t kAhead = 8;
-  for (size_t i = 0; i < hashes.size(); i++) {
-    if (i + kAhead < hashes.size()) {
-      simd::PrefetchRead(&words_[(hashes[i + kAhead] % num_bits_) >> 6]);
-    }
-    results[i] = ContainsHash(hashes[i]) ? 1 : 0;
-  }
 }
 
 Status BloomFilter::Union(const BloomFilter& other) {

@@ -2,7 +2,6 @@
 #define STREAMLIB_CORE_FILTERING_BLOOM_FILTER_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -46,35 +45,6 @@ class BloomFilter {
   void AddHash(uint64_t hash);
   bool ContainsHash(uint64_t hash) const;
 
-  /// Batched inserts/probes over pre-hashed digests, with the next keys'
-  /// first-probe words prefetched. Bit-OR commutes, so the final filter is
-  /// bit-identical to scalar insertion order; `results[i]` matches
-  /// ContainsHash(hashes[i]) exactly.
-  void AddHashBatch(std::span<const uint64_t> hashes);
-  void ContainsHashBatch(std::span<const uint64_t> hashes,
-                         uint8_t* results) const;
-
-  /// Batched insert over raw keys: vectorized hashing (64-bit integral
-  /// keys) feeding AddHashBatch. Bit-identical to N scalar Add calls.
-  template <typename T>
-  void AddBatch(std::span<const T> keys) {
-    uint64_t digests[kBatchChunk];
-    for (size_t done = 0; done < keys.size();) {
-      const size_t n = keys.size() - done < kBatchChunk ? keys.size() - done
-                                                        : kBatchChunk;
-      if constexpr (std::is_integral_v<T> && sizeof(T) == sizeof(uint64_t)) {
-        HashBatch64(reinterpret_cast<const uint64_t*>(keys.data() + done), n,
-                    kHashSeed, digests);
-      } else {
-        for (size_t i = 0; i < n; i++) {
-          digests[i] = HashValue(keys[done + i], kHashSeed);
-        }
-      }
-      AddHashBatch(std::span<const uint64_t>(digests, n));
-      done += n;
-    }
-  }
-
   /// In-place union with a filter of identical geometry.
   Status Union(const BloomFilter& other);
 
@@ -92,12 +62,10 @@ class BloomFilter {
   uint32_t num_hashes() const { return num_hashes_; }
   size_t MemoryBytes() const { return words_.size() * sizeof(uint64_t); }
 
-  /// Digest seed — public so batched feeders can pre-hash keys once.
+  /// Digest seed — public so callers can pre-hash keys for AddHash.
   static constexpr uint64_t kHashSeed = 0x9747b28c9747b28cULL;
 
  private:
-  static constexpr size_t kBatchChunk = 64;
-
   // Splits `hash` into the two Kirsch–Mitzenmacher base hashes.
   static void BaseHashes(uint64_t hash, uint64_t* h1, uint64_t* h2);
 

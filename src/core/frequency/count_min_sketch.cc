@@ -62,31 +62,18 @@ uint64_t CountMinSketch::EstimateHash(uint64_t hash) const {
 
 void CountMinSketch::AddHashBatch(std::span<const uint64_t> hashes,
                                   uint64_t count) {
+  if (conservative_) {
+    // Conservative updates are order-dependent (an in-batch duplicate must
+    // see the estimate raised by its predecessor): scalar path per key.
+    for (uint64_t hash : hashes) AddHash(hash, count);
+    return;
+  }
   uint64_t h2s[kBatchChunk];
   for (size_t done = 0; done < hashes.size(); done += kBatchChunk) {
     const size_t n = std::min(kBatchChunk, hashes.size() - done);
     const uint64_t* h1s = hashes.data() + done;
     // One vectorized h2 derivation feeds every row of the chunk.
     KmStepHashBatch(h1s, n, kKmSalt, h2s);
-    if (conservative_) {
-      // Conservative updates are order-dependent (an in-batch duplicate
-      // must see the estimate raised by its predecessor), so only the
-      // hashing is batched; the raise pass stays sequential and therefore
-      // bit-identical to the scalar loop.
-      for (size_t i = 0; i < n; i++) {
-        uint64_t estimate = std::numeric_limits<uint64_t>::max();
-        for (uint32_t row = 0; row < depth_; row++) {
-          estimate = std::min(estimate, Cell(row, ColumnOf(h1s[i], h2s[i], row)));
-        }
-        const uint64_t target = estimate + count;
-        for (uint32_t row = 0; row < depth_; row++) {
-          uint64_t& cell = Cell(row, ColumnOf(h1s[i], h2s[i], row));
-          cell = std::max(cell, target);
-        }
-      }
-      total_count_ += count * n;
-      continue;
-    }
     // Row-major sweep: all chunk increments for row r land in one width_
     // region before moving on. Addition commutes, so reordering per-key
     // work across rows leaves the final counters bit-identical to the

@@ -65,9 +65,8 @@ class CountMinSketch {
   uint64_t EstimateHash(uint64_t hash) const;
 
   /// Batched update over pre-hashed digests, each weighted `count`.
-  /// Final sketch state is bit-identical to calling AddHash in order —
-  /// including conservative mode, where in-batch duplicates must see each
-  /// other's increments.
+  /// Final sketch state is bit-identical to calling AddHash in order; a
+  /// conservative sketch takes exactly that scalar path.
   void AddHashBatch(std::span<const uint64_t> hashes, uint64_t count = 1);
 
   /// Batched update over raw keys: hashes in vectorized chunks (integral

@@ -4,7 +4,6 @@
 
 #include "common/bitutil.h"
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace streamlib {
 
@@ -42,34 +41,6 @@ int64_t CountSketch::EstimateHash(uint64_t hash) const {
                    row_estimates.begin() + row_estimates.size() / 2,
                    row_estimates.end());
   return row_estimates[row_estimates.size() / 2];
-}
-
-void CountSketch::AddHashBatch(std::span<const uint64_t> hashes,
-                               int64_t count) {
-  uint64_t h2s[kBatchChunk];
-  for (size_t done = 0; done < hashes.size(); done += kBatchChunk) {
-    const size_t n = std::min(kBatchChunk, hashes.size() - done);
-    const uint64_t* h1s = hashes.data() + done;
-    KmStepHashBatch(h1s, n, kKmSalt, h2s);
-    // Row-major sweep with prefetch; signed addition commutes, so the
-    // reordered increments leave counters bit-identical to scalar order.
-    for (uint32_t row = 0; row < depth_; row++) {
-      int64_t* base = table_.data() + static_cast<size_t>(row) * width_;
-      constexpr size_t kAhead = 8;
-      const size_t lead = std::min(kAhead, n);
-      for (size_t i = 0; i < lead; i++) {
-        simd::PrefetchRead(base + ((DoubleHash(h1s[i], h2s[i], row) >> 1) & mask_));
-      }
-      for (size_t i = 0; i < n; i++) {
-        if (i + kAhead < n) {
-          const uint64_t g = DoubleHash(h1s[i + kAhead], h2s[i + kAhead], row);
-          simd::PrefetchRead(base + ((g >> 1) & mask_));
-        }
-        const uint64_t g = DoubleHash(h1s[i], h2s[i], row);
-        base[(g >> 1) & mask_] += ((g & 1) != 0 ? count : -count);
-      }
-    }
-  }
 }
 
 double CountSketch::EstimateF2() const {

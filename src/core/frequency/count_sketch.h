@@ -2,7 +2,6 @@
 #define STREAMLIB_CORE_FREQUENCY_COUNT_SKETCH_H_
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "common/hash.h"
@@ -29,7 +28,7 @@ class CountSketch {
   /// map cells differently and are rejected by the envelope version check.
   static constexpr uint16_t kStateVersion = 2;
 
-  /// Base-digest seed — public so batched feeders can pre-hash keys once.
+  /// Digest seed — public so callers can pre-hash keys for AddHash.
   static constexpr uint64_t kHashSeed = 0x9ddfea08eb382d69ULL;
 
   /// \param width  counters per row, rounded up to a power of two.
@@ -51,31 +50,6 @@ class CountSketch {
   void AddHash(uint64_t hash, int64_t count);
   int64_t EstimateHash(uint64_t hash) const;
 
-  /// Batched update over pre-hashed digests, each weighted `count`. Final
-  /// state is bit-identical to calling AddHash per digest in order.
-  void AddHashBatch(std::span<const uint64_t> hashes, int64_t count = 1);
-
-  /// Batched update over raw keys: vectorized hashing (integral keys) into
-  /// AddHashBatch. Bit-identical to N scalar Add calls.
-  template <typename T>
-  void AddBatch(std::span<const T> keys, int64_t count = 1) {
-    uint64_t digests[kBatchChunk];
-    for (size_t done = 0; done < keys.size();) {
-      const size_t n = keys.size() - done < kBatchChunk ? keys.size() - done
-                                                        : kBatchChunk;
-      if constexpr (std::is_integral_v<T> && sizeof(T) == sizeof(uint64_t)) {
-        HashBatch64(reinterpret_cast<const uint64_t*>(keys.data() + done), n,
-                    kHashSeed, digests);
-      } else {
-        for (size_t i = 0; i < n; i++) {
-          digests[i] = HashValue(keys[done + i], kHashSeed);
-        }
-      }
-      AddHashBatch(std::span<const uint64_t>(digests, n), count);
-      done += n;
-    }
-  }
-
   /// Median across rows of the row's sum of squared counters: an estimate of
   /// the second frequency moment F2 (see AmsSketch for the lineage).
   double EstimateF2() const;
@@ -92,7 +66,6 @@ class CountSketch {
   size_t MemoryBytes() const { return table_.size() * sizeof(int64_t); }
 
  private:
-  static constexpr size_t kBatchChunk = 64;
   static constexpr uint64_t kKmSalt = 0x452821e638d01377ULL;
 
   int64_t& Cell(uint32_t row, uint64_t col) {

@@ -23,16 +23,21 @@ namespace {
 /// trees are marked incomplete rather than silently miswired).
 constexpr size_t kTraceRingCapacity = 4096;
 
+/// Transport batching: emissions accumulate in per-target staging buffers
+/// and flush as one batch push when a buffer reaches this size (or when the
+/// producing Execute/NextTuple batch ends); a spout also flushes after this
+/// many NextTuple calls.
+constexpr size_t kEmitBatchSize = 32;
+
 }  // namespace
 
 Status EngineConfig::Validate() const {
   if (queue_capacity == 0) {
     return Status::InvalidArgument("queue_capacity must be >= 1");
   }
-  if (emit_batch_size == 0 || execute_batch_size == 0) {
+  if (execute_batch_size == 0) {
     return Status::InvalidArgument(
-        "emit_batch_size / execute_batch_size must be >= 1 (1 disables "
-        "batching)");
+        "execute_batch_size must be >= 1 (1 forces per-tuple Execute)");
   }
   if (mode == ExecutionMode::kMultiplexed && multiplexed_threads == 0) {
     return Status::InvalidArgument(
@@ -110,9 +115,10 @@ struct TopologyEngine::AckerEvent {
 
 /// One parallel instance of a component.
 ///
-/// Bolt tasks own exactly one input channel: a lock-free SPSC ring when the
-/// task has a single producer task in dedicated mode (the common
-/// spout→bolt pipeline edge), otherwise the mutex-based MPMC BlockingQueue.
+/// Bolt tasks own exactly one input channel: a lock-free SPSC ring when all
+/// of the task's producer tasks run on one thread in dedicated mode (the
+/// common spout→bolt pipeline edge), otherwise the mutex-based MPMC
+/// BlockingQueue.
 /// The In* helpers dispatch to whichever is present.
 struct TopologyEngine::Task {
   size_t global_index = 0;
@@ -320,7 +326,7 @@ class TopologyEngine::AckLedger {
 ///
 /// Emissions do not hit downstream queues directly: they accumulate in
 /// per-target staging buffers and flush as one batch push when a buffer
-/// reaches emit_batch_size or the surrounding Execute/NextTuple batch ends
+/// reaches kEmitBatchSize or the surrounding Execute/NextTuple batch ends
 /// (FlushAll). This amortizes the lock/notify per queue operation over the
 /// batch while preserving per-target FIFO order. Acker traffic (kInit from
 /// spouts, kUpdate from bolts) is staged and flushed the same way — one
@@ -328,10 +334,7 @@ class TopologyEngine::AckLedger {
 class TopologyEngine::TaskCollector : public OutputCollector {
  public:
   TaskCollector(TopologyEngine* engine, Task* task, uint64_t seed)
-      : engine_(engine),
-        task_(task),
-        rng_(seed),
-        batch_size_(std::max<size_t>(1, engine->config_.emit_batch_size)) {}
+      : engine_(engine), task_(task), rng_(seed) {}
 
   /// Called once after subscription edges are resolved: builds one staging
   /// slot per distinct downstream task this task can route to.
@@ -346,7 +349,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
           slots_.back().target = target;
-          slots_.back().buffer.reserve(batch_size_);
+          slots_.back().buffer.reserve(kEmitBatchSize);
         }
       }
     }
@@ -560,7 +563,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
       slot.buffer.push_back(std::move(dup));
       edge_xor ^= dup_edge;
     }
-    if (slot.buffer.size() >= batch_size_) FlushSlot(slot);
+    if (slot.buffer.size() >= kEmitBatchSize) FlushSlot(slot);
     return edge_xor;
   }
 
@@ -610,7 +613,6 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   TopologyEngine* engine_;
   Task* task_;
   Rng rng_;
-  const size_t batch_size_;
   std::vector<StagingSlot> slots_;
   std::vector<int32_t> slot_of_task_;  // global task index -> slot or -1.
   std::vector<Task*> targets_scratch_;
@@ -707,13 +709,16 @@ void TopologyEngine::BuildTasks() {
   fused_edges_ = plan_->fused_edge_count();
 
   // Resolve the plan's edges into per-source outgoing lists, counting each
-  // consumer's distinct producer tasks on the way (the SPSC eligibility
-  // test). A fused edge makes each consumer task a follower of the one
-  // producer task that feeds it — task 0 of a parallelism-1 producer, task
-  // i of a paired shuffle — on that producer's head thread. Components are
-  // topologically sorted, so a producer is wired before its consumers.
+  // consumer's producer tasks (barrier alignment) and distinct producer
+  // threads (the SPSC eligibility test) on the way. A fused edge makes each
+  // consumer task a follower of the one producer task that feeds it — task
+  // 0 of a parallelism-1 producer, task i of a paired shuffle — on that
+  // producer's head thread. Edges come in consumer order and components
+  // are topologically sorted, so a producer's head is final before any of
+  // its out-edges is read.
   outgoing_.assign(components.size(), {});
   std::vector<uint64_t> producer_tasks(components.size(), 0);
+  std::vector<std::vector<const Task*>> producer_threads(components.size());
   std::vector<std::vector<bool>> counted(
       components.size(), std::vector<bool>(components.size(), false));
   for (const PlanEdge& plan_edge : plan_->edges()) {
@@ -728,6 +733,15 @@ void TopologyEngine::BuildTasks() {
     if (!counted[ci][source]) {
       counted[ci][source] = true;
       producer_tasks[ci] += components[source].parallelism;
+      for (const Task* producer : tasks_by_component[source]) {
+        const Task* thread =
+            producer->fused_head != nullptr ? producer->fused_head : producer;
+        std::vector<const Task*>& threads = producer_threads[ci];
+        if (std::find(threads.begin(), threads.end(), thread) ==
+            threads.end()) {
+          threads.push_back(thread);
+        }
+      }
     }
     if (!fused) continue;
     for (Task* follower : edge.targets) {
@@ -740,8 +754,9 @@ void TopologyEngine::BuildTasks() {
     }
   }
 
-  // Input channels: a bolt task whose input has exactly one producer task
-  // gets the lock-free SPSC ring (dedicated mode only — both endpoints are
+  // Input channels: a bolt task whose producer tasks all run on one thread
+  // (one task, or a fan-in whose producers are fused onto one head) gets
+  // the lock-free SPSC ring (dedicated mode only — both endpoints are
   // single threads there); everything else, and every queue of the
   // single-threaded drive mode, gets the MPMC blocking queue.
   for (auto& task : tasks_) {
@@ -751,9 +766,8 @@ void TopologyEngine::BuildTasks() {
     // queue-stall site — the fused analogue of a stall is simply the head
     // thread running the follower.)
     if (task->fused_head != nullptr) continue;
-    const bool spsc = !stepped_ && config_.enable_spsc &&
-                      config_.mode == ExecutionMode::kDedicated &&
-                      producer_tasks[task->component_index] == 1;
+    const bool spsc = !stepped_ && config_.mode == ExecutionMode::kDedicated &&
+                      producer_threads[task->component_index].size() == 1;
     if (spsc) {
       task->ring = std::make_unique<SpscRing<Message>>(config_.queue_capacity);
       spsc_edges_++;
@@ -860,7 +874,6 @@ void TopologyEngine::SpoutLoop(Task* task) {
   RestoreTaskState(task);
   PrepareFollowers(task);
   TaskCollector* collector = task->collector.get();
-  const size_t batch = std::max<size_t>(1, config_.emit_batch_size);
   const bool track = TracksTuples(config_.semantics);
   // Barrier injection cadence: epoch e's marker follows this spout's
   // e*K-th emission, so epoch boundaries are a pure function of the
@@ -884,7 +897,7 @@ void TopologyEngine::SpoutLoop(Task* task) {
                             [&] { return !throttled(); });
       continue;
     }
-    for (size_t i = 0; i < batch && !done; i++) {
+    for (size_t i = 0; i < kEmitBatchSize && !done; i++) {
       const uint64_t before = collector->total_emitted();
       if (!task->spout->NextTuple(collector)) {
         done = true;

@@ -72,19 +72,11 @@ struct EngineConfig {
   /// At-least-once: a root not fully acked within this window fails (and
   /// the spout's OnFail may replay it).
   double ack_timeout_seconds = 5.0;
-  /// Transport batching: emissions accumulate in per-target staging
-  /// buffers and flush as one batch push when a buffer reaches this size
-  /// (or when the producing Execute/NextTuple batch ends). 1 disables
-  /// output batching (per-tuple pushes, the pre-batching data plane).
-  size_t emit_batch_size = 32;
   /// Max input messages a bolt executor drains per queue operation.
   /// A BatchCapable() bolt takes each untraced multi-message run through
   /// one ExecuteBatch call; 1 disables input batching and so forces
   /// per-tuple Execute everywhere.
   size_t execute_batch_size = 128;
-  /// Use a lock-free SPSC ring (instead of the mutex BlockingQueue) for
-  /// bolt input queues with exactly one producer task, in dedicated mode.
-  bool enable_spsc = true;
   /// Telemetry sampler period: every N ms a background thread snapshots
   /// all per-task counters and instantaneous queue depths into the time
   /// series exposed by TopologyEngine::telemetry(). 0 disables the sampler
@@ -171,7 +163,8 @@ class TopologyEngine {
     return failed_roots_.load(std::memory_order_relaxed);
   }
 
-  /// Number of bolt input queues backed by the SPSC ring (after Run()).
+  /// Number of bolt input queues backed by the SPSC ring (after Run()): a
+  /// dedicated-mode bolt task whose producer tasks all run on one thread.
   size_t spsc_edges() const { return spsc_edges_; }
 
   /// The dataflow IR the engine compiled this topology into, with fusion

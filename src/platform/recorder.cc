@@ -43,9 +43,7 @@ void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
   w.PutU64(c.seed);
   w.PutVarint(c.latency_sample_every);
   w.PutDouble(c.ack_timeout_seconds);
-  w.PutVarint(c.emit_batch_size);
   w.PutVarint(c.execute_batch_size);
-  w.PutU8(c.enable_spsc ? 1 : 0);
   w.PutVarint(c.telemetry_sample_interval_ms);
   w.PutVarint(c.trace_sample_every);
   const FaultSpec& f = c.faults;
@@ -66,7 +64,6 @@ void EncodeConfig(ByteWriter& w, const EngineConfig& c) {
 Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   uint8_t mode = 0;
   uint8_t semantics = 0;
-  uint8_t enable_spsc = 0;
   uint64_t v = 0;
   STREAMLIB_RETURN_NOT_OK(r.GetU8(&mode));
   if (mode > static_cast<uint8_t>(ExecutionMode::kMultiplexed)) {
@@ -89,11 +86,7 @@ Status DecodeConfig(ByteReader& r, EngineConfig* out) {
   out->latency_sample_every = static_cast<uint32_t>(v);
   STREAMLIB_RETURN_NOT_OK(r.GetDouble(&out->ack_timeout_seconds));
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
-  out->emit_batch_size = v;
-  STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->execute_batch_size = v;
-  STREAMLIB_RETURN_NOT_OK(r.GetU8(&enable_spsc));
-  out->enable_spsc = enable_spsc != 0;
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));
   out->telemetry_sample_interval_ms = static_cast<uint32_t>(v);
   STREAMLIB_RETURN_NOT_OK(r.GetVarint(&v));

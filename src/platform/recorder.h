@@ -30,7 +30,7 @@ namespace streamlib::platform {
 /// deterministically; the debugger CLI (tools/streamlib_debug.cc) steps
 /// through it.
 ///
-/// ## SLFR file format (version 3)
+/// ## SLFR file format (version 4)
 ///
 ///   file   := header segment*
 ///   header := u32 magic 'SLFR' | u32 version
@@ -54,9 +54,11 @@ inline constexpr uint32_t kRecordingMagic = 0x52464c53u;  // "SLFR"
 /// Version 2 dropped version 1's bolt-batch flag byte from the meta
 /// config (batched delivery is no longer a knob); version 3 appends the
 /// enable_fusion byte (replay runs the recorded plan, fused edges
-/// included). Readers accept only the current version, so an older file is
-/// a typed InvalidArgument.
-inline constexpr uint32_t kRecordingVersion = 3;
+/// included); version 4 drops the emit_batch_size varint and the
+/// enable_spsc byte (emit batching is a constant and the SPSC ring follows
+/// the topology). Readers accept only the current version, so an older
+/// file is a typed InvalidArgument.
+inline constexpr uint32_t kRecordingVersion = 4;
 
 /// Tuple wire codec shared by the recorder and replayer. One record is
 /// varint field-count then per field a u8 type tag (0 = null, 1 = bool,

@@ -346,11 +346,27 @@ TEST(EngineBatchingTest, AtLeastOnceAccountingExactMultiplexed) {
   RunAtLeastOnceAccounting(ExecutionMode::kMultiplexed);
 }
 
-// A single-producer chain in dedicated mode must select the SPSC ring for
-// every bolt input and still conserve tuples exactly; with the ring
-// disabled the same topology runs on BlockingQueues with identical counts.
+// A dedicated-mode bolt task gets the SPSC ring exactly when all of its
+// producer tasks run on one thread, and every input shape conserves tuples
+// exactly on whichever channel it gets.
 TEST(EngineBatchingTest, SpscChainConservesTuples) {
-  for (const bool enable_spsc : {true, false}) {
+  struct Shape {
+    const char* name;
+    uint32_t spout_tasks;
+    uint32_t relay_tasks;  // 0: the spout feeds the sink directly.
+    bool enable_fusion;
+    size_t rings;
+  };
+  const Shape shapes[] = {
+      // Queued chain: each bolt has one producer task, so both get rings.
+      {"chain", 1, 1, false, 2},
+      // Fan-in across two spout threads: the sink needs the MPMC queue.
+      {"fan_in_two_threads", 2, 0, true, 0},
+      // Both relay tasks run fused on the spout's thread, so the sink's
+      // fan-in has one producer thread.
+      {"fan_in_one_head", 1, 2, true, 1},
+  };
+  for (const Shape& shape : shapes) {
     constexpr uint64_t kN = 100000;
     auto counter = std::make_shared<std::atomic<uint64_t>>(0);
     auto sunk = std::make_shared<std::atomic<uint64_t>>(0);
@@ -365,14 +381,16 @@ TEST(EngineBatchingTest, SpscChainConservesTuples) {
                 return Tuple::Of(static_cast<int64_t>(i));
               });
         },
-        1);
-    builder.AddBolt(
-        "relay",
-        []() -> std::unique_ptr<Bolt> {
-          return std::make_unique<FunctionBolt>(
-              [](const Tuple& t, OutputCollector* out) { out->Emit(t); });
-        },
-        1, {{"src", Grouping::Shuffle()}});
+        shape.spout_tasks);
+    if (shape.relay_tasks > 0) {
+      builder.AddBolt(
+          "relay",
+          []() -> std::unique_ptr<Bolt> {
+            return std::make_unique<FunctionBolt>(
+                [](const Tuple& t, OutputCollector* out) { out->Emit(t); });
+          },
+          shape.relay_tasks, {{"src", Grouping::Shuffle()}});
+    }
     builder.AddBolt(
         "sink",
         [sunk]() -> std::unique_ptr<Bolt> {
@@ -381,17 +399,16 @@ TEST(EngineBatchingTest, SpscChainConservesTuples) {
                 sunk->fetch_add(1, std::memory_order_relaxed);
               });
         },
-        1, {{"relay", Grouping::Global()}});
+        1, {{shape.relay_tasks > 0 ? "relay" : "src", Grouping::Global()}});
 
     EngineConfig config;
     config.mode = ExecutionMode::kDedicated;
-    config.enable_spsc = enable_spsc;
-    config.enable_fusion = false;  // The rings under test are queued edges.
+    config.enable_fusion = shape.enable_fusion;
     TopologyEngine engine(builder.Build().value(), config);
     engine.Run();
 
-    EXPECT_EQ(engine.spsc_edges(), enable_spsc ? 2u : 0u);
-    EXPECT_EQ(sunk->load(), kN) << "enable_spsc=" << enable_spsc;
+    EXPECT_EQ(engine.spsc_edges(), shape.rings) << shape.name;
+    EXPECT_EQ(sunk->load(), kN) << shape.name;
   }
 }
 

@@ -326,8 +326,11 @@ struct RunOutcome {
   uint64_t completed_roots = 0;
   uint64_t failed_roots = 0;
   size_t fused_edges = 0;
+  size_t spsc_edges = 0;
   std::map<std::string, uint64_t> emitted;   // Per component.
   std::map<std::string, uint64_t> executed;  // Per component.
+  std::vector<uint64_t> task_emitted;        // Per global task index.
+  std::vector<uint64_t> task_executed;       // Per global task index.
   std::map<uint64_t, FaultSiteStats> site_stats;
   std::array<uint64_t, kNumFaultKinds> injected{};
 };
@@ -349,10 +352,13 @@ RunOutcome Outcome(TopologyEngine& engine) {
   outcome.completed_roots = engine.completed_roots();
   outcome.failed_roots = engine.failed_roots();
   outcome.fused_edges = engine.fused_edges();
+  outcome.spsc_edges = engine.spsc_edges();
   for (size_t i = 0; i < engine.metrics().task_count(); i++) {
     const TaskMetrics& m = engine.metrics().task(i);
     outcome.emitted[m.component()] += m.emitted();
     outcome.executed[m.component()] += m.executed();
+    outcome.task_emitted.push_back(m.emitted());
+    outcome.task_executed.push_back(m.executed());
   }
   if (engine.fault_plan() != nullptr) {
     outcome.site_stats = engine.fault_plan()->SiteStatsSnapshot();
@@ -526,8 +532,10 @@ void AddCmsBolt(TopologyBuilder& builder, const std::string& name,
 /// fields, 1->1 global) both fuse. With `queued_tail` the sharded arm also
 /// fans in to `total`, an edge that stays queued past the fused ones. Its
 /// three producer threads interleave, so which of total's inputs a fault
-/// hits would depend on timing: fault runs leave it out.
-enum class FanOut { kFieldsOneToMany, kTwoArmSpout };
+/// hits would depend on timing: fault runs leave it out. The third shape,
+/// a 1->2 shuffle into `map` whose two tasks fan in to one `sink`, puts
+/// both of sink's producer tasks on the spout's thread when fused.
+enum class FanOut { kFieldsOneToMany, kTwoArmSpout, kFanInOneHead };
 
 struct FanOutRun {
   RunOutcome outcome;
@@ -547,6 +555,13 @@ FanOutRun RunFanOut(FanOut shape, int64_t tuples, bool fuse,
     components.push_back(MakeShardSketches(4));
     AddCmsBolt(builder, "cm", components.back(),
                {{"relay", Grouping::Fields(0)}});
+  } else if (shape == FanOut::kFanInOneHead) {
+    components.push_back(MakeShardSketches(2));
+    AddCmsBolt(builder, "map", components.back(),
+               {{"src", Grouping::Shuffle()}});
+    components.push_back(MakeShardSketches(1));
+    AddCmsBolt(builder, "sink", components.back(),
+               {{"map", Grouping::Global()}});
   } else {
     components.push_back(MakeShardSketches(3));
     AddCmsBolt(builder, "cm", components.back(),
@@ -577,18 +592,37 @@ FanOutRun RunFanOut(FanOut shape, int64_t tuples, bool fuse,
   return run;
 }
 
+// Fused fan-outs match their queued runs count for count and byte for
+// byte. The two-arm and fan-in shapes end in a fan-in whose producer tasks
+// all run on the spout's thread when fused, so that input gets a ring
+// instead of the mutex queue it needs queued; the fields shape fuses
+// every edge and has no queue left.
 TEST(FusedFanOutTest, FusedFanOutMatchesQueued) {
-  for (const FanOut shape : {FanOut::kFieldsOneToMany, FanOut::kTwoArmSpout}) {
-    SCOPED_TRACE(shape == FanOut::kFieldsOneToMany ? "fields" : "two-arm");
-    const FanOutRun queued = RunFanOut(shape, 3000, false, FaultSpec{}, true);
-    const FanOutRun fused = RunFanOut(shape, 3000, true, FaultSpec{}, true);
+  struct Case {
+    FanOut shape;
+    const char* name;
+    size_t fused_edges;
+    size_t queued_rings;
+    size_t fused_rings;
+  };
+  const Case cases[] = {
+      {FanOut::kFieldsOneToMany, "fields", 2, 5, 0},
+      {FanOut::kTwoArmSpout, "two-arm", 2, 4, 1},
+      {FanOut::kFanInOneHead, "fan-in-one-head", 1, 2, 1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const FanOutRun queued = RunFanOut(c.shape, 3000, false, FaultSpec{}, true);
+    const FanOutRun fused = RunFanOut(c.shape, 3000, true, FaultSpec{}, true);
     EXPECT_EQ(queued.outcome.fused_edges, 0u);
-    EXPECT_EQ(fused.outcome.fused_edges, 2u);
+    EXPECT_EQ(fused.outcome.fused_edges, c.fused_edges);
+    EXPECT_EQ(queued.outcome.spsc_edges, c.queued_rings);
+    EXPECT_EQ(fused.outcome.spsc_edges, c.fused_rings);
     EXPECT_EQ(fused.outcome.completed_roots, 3000u);
     EXPECT_EQ(fused.outcome.failed_roots, 0u);
     EXPECT_EQ(queued.outcome.completed_roots, 3000u);
-    EXPECT_EQ(fused.outcome.emitted, queued.outcome.emitted);
-    EXPECT_EQ(fused.outcome.executed, queued.outcome.executed);
+    EXPECT_EQ(fused.outcome.task_emitted, queued.outcome.task_emitted);
+    EXPECT_EQ(fused.outcome.task_executed, queued.outcome.task_executed);
     EXPECT_EQ(fused.sketches, queued.sketches);
   }
 }

@@ -245,9 +245,8 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   config.seed = 424242;
   config.ack_timeout_seconds = 2.5;
   config.execute_batch_size = 9;
-  config.enable_spsc = false;
-  // The fields right after enable_spsc, where version 1 carried the
-  // bolt-batch flag byte: a leftover or missing byte would shift them.
+  // The fields right after execute_batch_size, where versions 1–3 carried
+  // the enable_spsc byte: a leftover or missing byte would shift them.
   config.telemetry_sample_interval_ms = 7;
   config.trace_sample_every = 5;
   config.faults.seed = 99;
@@ -280,7 +279,6 @@ TEST(RecorderFormatTest, RoundTripsConfigEmissionsAndSummary) {
   EXPECT_EQ(r.config.seed, 424242u);
   EXPECT_EQ(r.config.ack_timeout_seconds, 2.5);
   EXPECT_EQ(r.config.execute_batch_size, 9u);
-  EXPECT_FALSE(r.config.enable_spsc);
   EXPECT_EQ(r.config.telemetry_sample_interval_ms, 7u);
   EXPECT_EQ(r.config.trace_sample_every, 5u);
   EXPECT_EQ(r.config.faults.seed, 99u);
@@ -382,60 +380,83 @@ TEST_F(RecordingCorruptionTest, UnsupportedVersionIsInvalidArgument) {
   EXPECT_EQ(ReadCodeAfter(mutated), StatusCode::kInvalidArgument);
 }
 
-TEST_F(RecordingCorruptionTest, PreviousVersionIsInvalidArgument) {
-  // Rebuild the fixture as a genuine version-1 file: version field 1 and
-  // the meta config carrying v1's bolt-batch flag byte after enable_spsc
-  // (segment length and CRC recomputed). The reader must refuse it by
-  // version before decoding a field, instead of reading the flag byte as
-  // telemetry_sample_interval_ms and every later field one byte off.
-  ByteReader header(bytes_);
+// Rebuilds the fixture as a genuine older-version file: `version` in the
+// header and the meta config carrying the fields version 4 dropped — the
+// emit_batch_size varint after ack_timeout_seconds and the enable_spsc
+// byte after execute_batch_size — followed by `after_spsc` (version 1's
+// bolt-batch flag byte). Segment length and CRC are recomputed, so the
+// reader must refuse the file by version before decoding a field, instead
+// of reading every later field a few bytes off.
+std::vector<uint8_t> OlderLayout(const std::vector<uint8_t>& bytes,
+                                 uint32_t version,
+                                 const std::vector<uint8_t>& after_spsc) {
+  ByteReader header(bytes);
   uint32_t magic = 0;
-  uint32_t version = 0;
+  uint32_t current = 0;
   uint8_t kind = 0;
   uint32_t meta_len = 0;
   uint32_t meta_crc = 0;
-  ASSERT_TRUE(header.GetU32(&magic).ok());
-  ASSERT_TRUE(header.GetU32(&version).ok());
-  ASSERT_EQ(version, kRecordingVersion);
-  ASSERT_TRUE(header.GetU8(&kind).ok());
-  ASSERT_TRUE(header.GetU32(&meta_len).ok());
-  ASSERT_TRUE(header.GetU32(&meta_crc).ok());
-  const size_t meta_start = bytes_.size() - header.remaining();
-  ASSERT_LE(meta_start + meta_len, bytes_.size());
-  std::vector<uint8_t> meta(bytes_.begin() + meta_start,
-                            bytes_.begin() + meta_start + meta_len);
+  EXPECT_TRUE(header.GetU32(&magic).ok());
+  EXPECT_TRUE(header.GetU32(&current).ok());
+  EXPECT_EQ(current, kRecordingVersion);
+  EXPECT_TRUE(header.GetU8(&kind).ok());
+  EXPECT_TRUE(header.GetU32(&meta_len).ok());
+  EXPECT_TRUE(header.GetU32(&meta_crc).ok());
+  const size_t meta_start = bytes.size() - header.remaining();
+  EXPECT_LE(meta_start + meta_len, bytes.size());
+  std::vector<uint8_t> meta(bytes.begin() + meta_start,
+                            bytes.begin() + meta_start + meta_len);
 
-  // Walk the config prefix up to and including enable_spsc.
+  // Walk the config prefix up to and including execute_batch_size.
   ByteReader config(meta);
   uint8_t u8 = 0;
   uint64_t u64 = 0;
   double f64 = 0;
-  ASSERT_TRUE(config.GetU8(&u8).ok());        // mode
-  ASSERT_TRUE(config.GetU8(&u8).ok());        // semantics
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // queue_capacity
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // multiplexed_threads
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // max_spout_pending
-  ASSERT_TRUE(config.GetU64(&u64).ok());      // seed
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // latency_sample_every
-  ASSERT_TRUE(config.GetDouble(&f64).ok());   // ack_timeout_seconds
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // emit_batch_size
-  ASSERT_TRUE(config.GetVarint(&u64).ok());   // execute_batch_size
-  ASSERT_TRUE(config.GetU8(&u8).ok());        // enable_spsc
-  const size_t flag_at = meta.size() - config.remaining();
-  meta.insert(meta.begin() + flag_at, uint8_t{1});
+  EXPECT_TRUE(config.GetU8(&u8).ok());        // mode
+  EXPECT_TRUE(config.GetU8(&u8).ok());        // semantics
+  EXPECT_TRUE(config.GetVarint(&u64).ok());   // queue_capacity
+  EXPECT_TRUE(config.GetVarint(&u64).ok());   // multiplexed_threads
+  EXPECT_TRUE(config.GetVarint(&u64).ok());   // max_spout_pending
+  EXPECT_TRUE(config.GetU64(&u64).ok());      // seed
+  EXPECT_TRUE(config.GetVarint(&u64).ok());   // latency_sample_every
+  EXPECT_TRUE(config.GetDouble(&f64).ok());   // ack_timeout_seconds
+  const size_t emit_batch_at = meta.size() - config.remaining();
+  EXPECT_TRUE(config.GetVarint(&u64).ok());   // execute_batch_size
+  std::vector<uint8_t> spsc_and_after = {uint8_t{1}};  // enable_spsc
+  spsc_and_after.insert(spsc_and_after.end(), after_spsc.begin(),
+                        after_spsc.end());
+  meta.insert(meta.begin() + static_cast<long>(meta.size() -
+                                               config.remaining()),
+              spsc_and_after.begin(), spsc_and_after.end());
+  meta.insert(meta.begin() + static_cast<long>(emit_batch_at),
+              uint8_t{32});  // emit_batch_size, one varint byte
 
-  ByteWriter v1;
-  v1.PutU32(magic);
-  v1.PutU32(1);
-  v1.PutU8(kind);
-  v1.PutU32(static_cast<uint32_t>(meta.size()));
-  v1.PutU32(Crc32(meta.data(), meta.size()));
-  v1.PutBytes(meta.data(), meta.size());
-  v1.PutBytes(bytes_.data() + meta_start + meta_len,
-              bytes_.size() - meta_start - meta_len);
-  const std::vector<uint8_t> v1_bytes = v1.TakeBytes();
-  ASSERT_EQ(v1_bytes.size(), bytes_.size() + 1);
-  EXPECT_EQ(ReadCodeAfter(v1_bytes), StatusCode::kInvalidArgument);
+  ByteWriter old;
+  old.PutU32(magic);
+  old.PutU32(version);
+  old.PutU8(kind);
+  old.PutU32(static_cast<uint32_t>(meta.size()));
+  old.PutU32(Crc32(meta.data(), meta.size()));
+  old.PutBytes(meta.data(), meta.size());
+  old.PutBytes(bytes.data() + meta_start + meta_len,
+               bytes.size() - meta_start - meta_len);
+  std::vector<uint8_t> out = old.TakeBytes();
+  EXPECT_EQ(out.size(), bytes.size() + 2 + after_spsc.size());
+  return out;
+}
+
+TEST_F(RecordingCorruptionTest, PreviousVersionIsInvalidArgument) {
+  EXPECT_EQ(ReadCodeAfter(OlderLayout(bytes_, 1, {uint8_t{1}})),
+            StatusCode::kInvalidArgument);
+}
+
+TEST_F(RecordingCorruptionTest, Version3FileIsRejected) {
+  WriteFileBytes(path_, OlderLayout(bytes_, 3, {}));
+  const Status status = ReadRecording(path_).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.ToString().find("unsupported recording version 3"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST_F(RecordingCorruptionTest, TruncatedSegmentIsCorruption) {

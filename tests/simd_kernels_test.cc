@@ -24,9 +24,7 @@
 #include "common/simd.h"
 #include "common/state.h"
 #include "core/cardinality/hyperloglog.h"
-#include "core/cardinality/sliding_hyperloglog.h"
 #include "core/filtering/blocked_bloom_filter.h"
-#include "core/filtering/bloom_filter.h"
 #include "core/frequency/count_min_sketch.h"
 #include "core/frequency/count_sketch.h"
 #include "core/frequency/dyadic_count_min.h"
@@ -155,21 +153,6 @@ TEST(CountMinBatch, StringKeysRouteThroughScalarHashing) {
   EXPECT_EQ(ToBlob(scalar), ToBlob(batched));
 }
 
-TEST(CountSketchBatch, BitIdenticalAcrossWorkloadsAndSizes) {
-  static_assert(state::BatchUpdatable<CountSketch>);
-  for (KeyGen gen : kKeyGens) {
-    for (size_t n : BatchSizes()) {
-      const std::vector<uint64_t> keys = gen(n, 777);
-      CountSketch scalar(300, 5);  // rounds to 512
-      CountSketch batched(300, 5);
-      EXPECT_EQ(scalar.width(), 512u);
-      for (uint64_t k : keys) scalar.Add(k);
-      batched.AddBatch(std::span<const uint64_t>(keys));
-      EXPECT_EQ(ToBlob(scalar), ToBlob(batched)) << "n=" << n;
-    }
-  }
-}
-
 TEST(DyadicCountMinBatch, BitIdenticalIncludingQuantiles) {
   for (KeyGen gen : kKeyGens) {
     for (size_t n : BatchSizes()) {
@@ -219,62 +202,18 @@ TEST(HyperLogLogBatch, DenseStartBitIdentical) {
   }
 }
 
-TEST(SlidingHyperLogLogBatch, BitIdenticalPerTimestamp) {
-  for (KeyGen gen : kKeyGens) {
-    SlidingHyperLogLog scalar(10, 1000);
-    SlidingHyperLogLog batched(10, 1000);
-    uint64_t now = 0;
-    for (size_t n : BatchSizes()) {
-      now += 10;
-      const std::vector<uint64_t> keys = gen(n, now);
-      for (uint64_t k : keys) scalar.Add(k, now);
-      batched.AddBatch(std::span<const uint64_t>(keys), now);
-      EXPECT_EQ(ToBlob(scalar), ToBlob(batched)) << "now=" << now;
-    }
-    EXPECT_DOUBLE_EQ(scalar.Estimate(now, 500), batched.Estimate(now, 500));
-  }
-}
-
-TEST(BloomFilterBatch, IdenticalBitsAndProbes) {
-  static_assert(state::BatchUpdatable<BloomFilter>);
-  for (KeyGen gen : kKeyGens) {
-    for (size_t n : BatchSizes()) {
-      BloomFilter scalar(1 << 16, 5);
-      BloomFilter batched(1 << 16, 5);
-      const std::vector<uint64_t> keys = gen(n, 555);
-      for (uint64_t k : keys) scalar.Add(k);
-      batched.AddBatch(std::span<const uint64_t>(keys));
-      // No serde on filters: compare fill (a function of the exact bit
-      // array) plus every membership answer over inserted and fresh keys.
-      EXPECT_DOUBLE_EQ(scalar.FillRatio(), batched.FillRatio()) << "n=" << n;
-      const std::vector<uint64_t> probes = UniformKeys(2000, 1);
-      std::vector<uint64_t> probe_hashes(probes.size());
-      HashBatch64(probes.data(), probes.size(), BloomFilter::kHashSeed,
-                  probe_hashes.data());
-      std::vector<uint8_t> results(probes.size());
-      batched.ContainsHashBatch(probe_hashes, results.data());
-      for (size_t i = 0; i < probes.size(); i++) {
-        EXPECT_EQ(scalar.Contains(probes[i]), results[i] != 0);
-      }
-      for (uint64_t k : keys) {
-        EXPECT_TRUE(batched.Contains(k));  // No false negatives, ever.
-      }
-    }
-  }
-}
-
 TEST(BlockedBloomFilterBatch, IdenticalProbes) {
   static_assert(state::BatchUpdatable<BlockedBloomFilter>);
+  const std::vector<uint64_t> probes = UniformKeys(2000, 2);
+  std::vector<uint64_t> probe_hashes(probes.size());
+  HashBatch64(probes.data(), probes.size(), BlockedBloomFilter::kHashSeed,
+              probe_hashes.data());
   for (size_t n : BatchSizes()) {
     BlockedBloomFilter scalar(1 << 16, 6);
     BlockedBloomFilter batched(1 << 16, 6);
     const std::vector<uint64_t> keys = ZipfKeys(n, 808);
     for (uint64_t k : keys) scalar.Add(k);
     batched.AddBatch(std::span<const uint64_t>(keys));
-    const std::vector<uint64_t> probes = UniformKeys(2000, 2);
-    std::vector<uint64_t> probe_hashes(probes.size());
-    HashBatch64(probes.data(), probes.size(), BlockedBloomFilter::kHashSeed,
-                probe_hashes.data());
     std::vector<uint8_t> results(probes.size());
     batched.ContainsHashBatch(probe_hashes, results.data());
     for (size_t i = 0; i < probes.size(); i++) {

@@ -427,11 +427,6 @@ TEST(EngineConfigTest, ValidateRejectsBadKnobs) {
   }
   {
     EngineConfig config;
-    config.emit_batch_size = 0;
-    EXPECT_FALSE(config.Validate().ok());
-  }
-  {
-    EngineConfig config;
     config.execute_batch_size = 0;
     EXPECT_FALSE(config.Validate().ok());
   }
