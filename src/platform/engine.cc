@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -17,6 +16,13 @@
 namespace streamlib::platform {
 
 namespace {
+
+/// A timeout knob in seconds: positive and below 1.8e10 s, so the
+/// nanosecond count the engine casts it to fits a uint64_t (2^64 ns is
+/// about 1.84e10 s). NaN and infinity fail the comparisons.
+bool ValidTimeoutSeconds(double seconds) {
+  return seconds > 0 && seconds < 1.8e10;
+}
 
 /// Per-task trace event buffer size. Bounds tracing memory regardless of
 /// run length; overflow overwrites oldest events (counted, and affected
@@ -43,12 +49,11 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "multiplexed mode needs at least one executor thread");
   }
-  // Checked regardless of semantics: the knob must always be sane, and the
-  // isfinite guard keeps NaN (for which every comparison is false) from
-  // slipping through to the acker's timeout arithmetic.
-  if (!std::isfinite(ack_timeout_seconds) || ack_timeout_seconds <= 0) {
+  // Checked regardless of semantics: the knob must always be sane before
+  // it reaches the acker's timeout arithmetic.
+  if (!ValidTimeoutSeconds(ack_timeout_seconds)) {
     return Status::InvalidArgument(
-        "ack_timeout_seconds must be positive and finite");
+        "ack_timeout_seconds must be positive and below 1.8e10");
   }
   if (TracksTuples(semantics) && max_spout_pending == 0) {
     return Status::InvalidArgument(
@@ -65,10 +70,9 @@ Status EngineConfig::Validate() const {
     return Status::InvalidArgument(
         "epoch checkpointing needs a checkpoint_store");
   }
-  if (!std::isfinite(epoch_align_timeout_seconds) ||
-      epoch_align_timeout_seconds <= 0) {
+  if (!ValidTimeoutSeconds(epoch_align_timeout_seconds)) {
     return Status::InvalidArgument(
-        "epoch_align_timeout_seconds must be positive and finite");
+        "epoch_align_timeout_seconds must be positive and below 1.8e10");
   }
   // Recording captures spout emissions only: neither barrier alignment
   // timing nor restored spout state is in the file, so a replay could not
@@ -336,20 +340,24 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   TaskCollector(TopologyEngine* engine, Task* task, uint64_t seed)
       : engine_(engine), task_(task), rng_(seed) {}
 
-  /// Called once after subscription edges are resolved: builds one staging
-  /// slot per distinct downstream task this task can route to.
+  /// Called once after subscription edges are resolved: lists the distinct
+  /// downstream tasks this task can route to, in routing order, and builds
+  /// a staging slot for each queued one.
   void InitStaging() {
     slot_of_task_.assign(engine_->tasks_.size(), -1);
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
       for (Task* target : edge.targets) {
-        // Fused followers run inline and bypass staging entirely.
-        if (target->fused_head == nullptr &&
-            slot_of_task_[target->global_index] < 0) {
+        // Fused followers run inline and bypass staging entirely; each has
+        // one input edge, so it is listed once.
+        if (target->fused_head != nullptr) {
+          targets_.push_back(target);
+        } else if (slot_of_task_[target->global_index] < 0) {
           slot_of_task_[target->global_index] =
               static_cast<int32_t>(slots_.size());
           slots_.emplace_back();
           slots_.back().target = target;
           slots_.back().buffer.reserve(kEmitBatchSize);
+          targets_.push_back(target);
         }
       }
     }
@@ -444,27 +452,36 @@ class TopologyEngine::TaskCollector : public OutputCollector {
     }
   }
 
-  /// Stages the epoch-barrier marker to every downstream task and flushes
-  /// immediately: per-slot FIFO puts the marker after every already-staged
+  /// Sends the epoch-barrier marker to every distinct downstream task in
+  /// routing order, with one barrier-fault decision (delay, then drop) per
+  /// target, queued or fused alike. A queued target gets the marker staged
+  /// and flushed at once: per-slot FIFO puts it after every already-staged
   /// tuple of its epoch, and prompt flushing keeps downstream alignment
-  /// latency off the data's critical path. Barrier faults (drop/delay)
-  /// inject here, one decision per (barrier, target).
+  /// latency off the data's critical path. A fused follower has exactly one
+  /// producer task, so the marker's arrival is its whole alignment: it
+  /// takes the epoch cut inline (snapshot, then forward through its own
+  /// collector), after every tuple of its epoch already ran inline.
   void EmitBarrier(uint64_t epoch) {
     FaultSite* faults = task_->barrier_faults.get();
-    for (StagingSlot& slot : slots_) {
-      if (faults != nullptr) {
-        engine_->SleepMicros(faults->BarrierDelayMicros());
-        if (faults->FireBarrierDrop()) {
-          // Marker lost toward this one target: its alignment on `epoch`
-          // starves until the timeout force-advances past it. The staged
-          // data still flows.
-          FlushSlot(slot);
-          continue;
+    for (Task* target : targets_) {
+      if (faults != nullptr) engine_->SleepMicros(faults->BarrierDelayMicros());
+      // A marker lost toward one target: `epoch` can no longer complete,
+      // and a fan-in target's alignment starves until the timeout
+      // force-advances past it. The staged data still flows.
+      const bool dropped = faults != nullptr && faults->FireBarrierDrop();
+      if (target->fused_head != nullptr) {
+        if (!dropped) {
+          engine_->SnapshotTask(target, epoch);
+          target->collector->EmitBarrier(epoch);
         }
+        continue;
       }
-      Message& message = slot.buffer.emplace_back();
-      message.tuple = Tuple::Barrier(epoch);
-      message.producer_task = static_cast<uint32_t>(task_->global_index);
+      StagingSlot& slot = slots_[slot_of_task_[target->global_index]];
+      if (!dropped) {
+        Message& message = slot.buffer.emplace_back();
+        message.tuple = Tuple::Barrier(epoch);
+        message.producer_task = static_cast<uint32_t>(task_->global_index);
+      }
       FlushSlot(slot);
     }
   }
@@ -615,6 +632,7 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   Rng rng_;
   std::vector<StagingSlot> slots_;
   std::vector<int32_t> slot_of_task_;  // global task index -> slot or -1.
+  std::vector<Task*> targets_;         // Distinct, in routing order.
   std::vector<Task*> targets_scratch_;
   std::vector<AckerEvent> acker_staging_;
   uint64_t total_emitted_ = 0;
@@ -702,9 +720,6 @@ void TopologyEngine::BuildTasks() {
   FusionOptions fusion_options;
   fusion_options.enable_fusion = config_.enable_fusion;
   fusion_options.dedicated_mode = config_.mode == ExecutionMode::kDedicated;
-  fusion_options.tracked = TracksTuples(config_.semantics);
-  fusion_options.epochs_enabled =
-      config_.epoch_interval_tuples > 0 || config_.resume_from_epoch > 0;
   plan_->RunFusionPass(fusion_options);
   fused_edges_ = plan_->fused_edge_count();
 
@@ -761,10 +776,11 @@ void TopologyEngine::BuildTasks() {
   // single-threaded drive mode, gets the MPMC blocking queue.
   for (auto& task : tasks_) {
     if (task->bolt == nullptr) continue;
-    // Fused followers have no input channel at all: their tuples arrive as
-    // inline calls on the head's thread. (No queue also means no
-    // queue-stall site — the fused analogue of a stall is simply the head
-    // thread running the follower.)
+    // Fused followers have no input channel at all: their tuples and
+    // barriers arrive as inline calls on the head's thread. (No queue also
+    // means no queue-stall site — the fused analogue of a stall is simply
+    // the head thread running the follower — and no aligner: one producer
+    // task's barrier is the whole alignment.)
     if (task->fused_head != nullptr) continue;
     const bool spsc = !stepped_ && config_.mode == ExecutionMode::kDedicated &&
                       producer_threads[task->component_index].size() == 1;
@@ -864,14 +880,14 @@ void TopologyEngine::PrepareFollowers(Task* head) {
     follower->bolt->Prepare(
         follower->task_index,
         topology_.components()[follower->component_index].parallelism);
-    RestoreTaskState(follower);
+    RestoreFromEpoch(follower, config_.resume_from_epoch);
   }
 }
 
 void TopologyEngine::SpoutLoop(Task* task) {
   task->spout->Open(task->task_index,
                     topology_.components()[task->component_index].parallelism);
-  RestoreTaskState(task);
+  RestoreFromEpoch(task, config_.resume_from_epoch);
   PrepareFollowers(task);
   TaskCollector* collector = task->collector.get();
   const bool track = TracksTuples(config_.semantics);
@@ -905,7 +921,11 @@ void TopologyEngine::SpoutLoop(Task* task) {
         break;  // Idle poll: flush promptly instead of batching waits.
       }
       while (epoch_k > 0 && collector->total_emitted() >= next_barrier_at) {
-        InjectSpoutBarrier(task, next_epoch);
+        // Spout-side cut, *before* the marker enters the stream: the frame
+        // holds every payload this spout still owes (unemitted cursor +
+        // unacked in-flight), and the ledgers absorb the overlap (§12).
+        SnapshotTask(task, next_epoch);
+        collector->EmitBarrier(next_epoch);
         next_epoch++;
         next_barrier_at += epoch_k;
       }
@@ -1204,7 +1224,7 @@ bool TopologyEngine::HandleBarrier(Task* task, uint32_t producer,
                                    uint64_t epoch, size_t* executed) {
   const uint64_t snap = task->aligner->OnBarrier(producer, epoch, NowNanos());
   if (snap == 0) return false;
-  SnapshotBoltEpoch(task, snap);
+  SnapshotTask(task, snap);
   task->collector->EmitBarrier(snap);
   return ReleaseHeld(task, snap + 1, executed);
 }
@@ -1273,27 +1293,12 @@ void TopologyEngine::MaybeEpochTimeout(Task* task) {
   task->metrics->IncExecuted(executed);
 }
 
-void TopologyEngine::SnapshotBoltEpoch(Task* task, uint64_t epoch) {
-  std::optional<std::vector<uint8_t>> frame = task->bolt->SnapshotEpoch(epoch);
-  if (frame.has_value()) {
-    config_.checkpoint_store->Put(
-        EpochTaskKey(epoch,
-                     topology_.components()[task->component_index].name,
-                     task->task_index),
-        std::move(*frame));
-  }
-  task->last_snapshot_epoch = epoch;
-  coordinator_->AckEpoch(epoch, task->global_index);
-}
-
-/// Spout-side epoch cut: snapshot *before* the marker enters the stream.
-/// The frame holds every payload this spout still owes (unemitted cursor +
-/// unacked in-flight); anything acked before this instant is guaranteed
-/// inside the downstream epoch frames, and the overlap (acked after) is
-/// re-emitted on restore and absorbed by the restored DedupLedgers.
-void TopologyEngine::InjectSpoutBarrier(Task* task, uint64_t epoch) {
+/// One task's epoch cut, for spouts, aligned bolts and fused followers
+/// alike: its frame into the store, then the coordinator ack.
+void TopologyEngine::SnapshotTask(Task* task, uint64_t epoch) {
   std::optional<std::vector<uint8_t>> frame =
-      task->spout->SnapshotEpoch(epoch);
+      task->spout != nullptr ? task->spout->SnapshotEpoch(epoch)
+                             : task->bolt->SnapshotEpoch(epoch);
   if (frame.has_value()) {
     config_.checkpoint_store->Put(
         EpochTaskKey(epoch,
@@ -1303,16 +1308,16 @@ void TopologyEngine::InjectSpoutBarrier(Task* task, uint64_t epoch) {
   }
   task->last_snapshot_epoch = epoch;
   coordinator_->AckEpoch(epoch, task->global_index);
-  task->collector->EmitBarrier(epoch);
 }
 
-/// Resume path: rehydrate this task from its frame at resume_from_epoch
-/// (a complete epoch — Run() checked the marker). Runs on the task's own
-/// thread after Open/Prepare, before any traffic. Tasks without a frame
-/// were stateless at snapshot time and start fresh.
-void TopologyEngine::RestoreTaskState(Task* task) {
-  if (config_.resume_from_epoch == 0) return;
-  const uint64_t epoch = config_.resume_from_epoch;
+/// Rehydrates `task` from its frame at `epoch` (0: nothing to restore),
+/// which becomes the frame a crash-restart restores from. Resume passes
+/// resume_from_epoch (a complete epoch — Run() checked the marker) on the
+/// task's own thread after Open/Prepare, before any traffic; RestartBolt
+/// passes the task's last snapshot. A task without a frame was stateless
+/// at snapshot time and starts fresh.
+void TopologyEngine::RestoreFromEpoch(Task* task, uint64_t epoch) {
+  if (epoch == 0) return;
   task->last_snapshot_epoch = epoch;
   const std::string key = EpochTaskKey(
       epoch, topology_.components()[task->component_index].name,
@@ -1353,23 +1358,14 @@ void TopologyEngine::RestartBolt(Task* task) {
   // the snapshot may ever be marked complete in this run; the resumable
   // point stays at the last epoch whose frames are known whole.
   coordinator_->FenceEpochsAfter(task->last_snapshot_epoch);
-  if (task->last_snapshot_epoch == 0) return;
-  const std::string key =
-      EpochTaskKey(task->last_snapshot_epoch, spec.name, task->task_index);
-  Result<std::vector<uint8_t>> frame = config_.checkpoint_store->Fetch(key);
-  if (!frame.ok()) return;  // Stateless at snapshot time: fresh start.
-  const Status restored =
-      task->bolt->RestoreEpoch(task->last_snapshot_epoch, frame.value());
-  STREAMLIB_CHECK_MSG(
-      restored.ok(), "crash-restart restore failed for %s: %s", key.c_str(),
-      restored.ToString().c_str());
+  RestoreFromEpoch(task, task->last_snapshot_epoch);
 }
 
 void TopologyEngine::DedicatedBoltLoop(Task* task) {
   task->bolt->Prepare(
       task->task_index,
       topology_.components()[task->component_index].parallelism);
-  RestoreTaskState(task);
+  RestoreFromEpoch(task, config_.resume_from_epoch);
   PrepareFollowers(task);
   const size_t max_batch = std::max<size_t>(1, config_.execute_batch_size);
   std::vector<Message> batch;
@@ -1498,8 +1494,14 @@ class TopologyEngine::FinishCollector : public OutputCollector {
  private:
   void Deliver(Task* target, const Tuple& tuple) {
     FinishCollector downstream(engine_, target, rng_.Next());
-    target->bolt->Execute(tuple, &downstream);
-    target->metrics->IncExecuted();
+    try {
+      target->bolt->Execute(tuple, &downstream);
+      target->metrics->IncExecuted();
+    } catch (...) {
+      // As in ExecuteHop: a throwing Execute fails the tuple, never the
+      // engine, so Run()'s telemetry epilogue still runs.
+      target->metrics->IncBoltExceptions();
+    }
   }
 
   TopologyEngine* engine_;
@@ -1568,7 +1570,7 @@ void TopologyEngine::Run() {
       task->bolt->Prepare(
           task->task_index,
           topology_.components()[task->component_index].parallelism);
-      RestoreTaskState(task);
+      RestoreFromEpoch(task, config_.resume_from_epoch);
     }
     for (uint32_t w = 0; w < workers; w++) {
       if (assignment[w].empty()) continue;

@@ -255,9 +255,8 @@ class TopologyEngine {
   bool ReleaseHeld(Task* task, uint64_t max_tag, size_t* executed);
   void FlushHeld(Task* task);
   void MaybeEpochTimeout(Task* task);
-  void SnapshotBoltEpoch(Task* task, uint64_t epoch);
-  void InjectSpoutBarrier(Task* task, uint64_t epoch);
-  void RestoreTaskState(Task* task);
+  void SnapshotTask(Task* task, uint64_t epoch);
+  void RestoreFromEpoch(Task* task, uint64_t epoch);
   void FinishPending(size_t n);
 
   Topology topology_;

@@ -48,13 +48,7 @@ Status TopologyPlan::FusionLegality(const PlanNode& from, const PlanNode& to,
     return Status::FailedPrecondition(
         "multiplexed execution: fused stages need a dedicated thread");
   }
-  // Rule 3: epoch barriers align per queued edge (EpochAligner counts
-  // producer arrivals); a fused edge has no barrier hop to align on.
-  if (options.epochs_enabled) {
-    return Status::FailedPrecondition(
-        "epoch barriers align on queued edges");
-  }
-  // Rule 4: fused delivery runs the consumer inline on its producer
+  // Rule 3: fused delivery runs the consumer inline on its producer
   // task's thread, so every consumer task must be fed by exactly one
   // producer task. A single-input consumer meets that when the producer
   // has parallelism 1 (its own routing picks among the consumer tasks,
@@ -88,8 +82,6 @@ void TopologyPlan::RunFusionPass(const FusionOptions& options) {
       edge.channel = EdgeChannel::kQueued;
       edge.veto = legality.message();
     }
-    edge.tracked = options.tracked;
-    edge.barriered = options.epochs_enabled;
   }
 }
 

@@ -22,8 +22,6 @@ enum class EdgeChannel : uint8_t {
 struct FusionOptions {
   bool enable_fusion = true;      ///< master switch (EngineConfig::enable_fusion)
   bool dedicated_mode = true;     ///< ExecutionMode::kDedicated (one thread/task)
-  bool tracked = false;           ///< delivery semantics track tuples (acking on)
-  bool epochs_enabled = false;    ///< barrier checkpointing active
 };
 
 /// One component of the topology, as a plan node. `component_index` equals
@@ -45,8 +43,6 @@ struct PlanEdge {
   size_t to = 0;    ///< consumer node index
   Grouping grouping;
   uint32_t shards = 1;   ///< consumer parallelism (fan-out of the routing)
-  bool tracked = false;  ///< deliveries carry ack-ledger edge ids
-  bool barriered = false;  ///< epoch barriers flow across this edge
   EdgeChannel channel = EdgeChannel::kQueued;
   /// Why the fusion pass left this edge queued (empty when fused or when
   /// the pass never ran). Surfaced in ToString() and the bench JSON so a
@@ -55,7 +51,7 @@ struct PlanEdge {
 };
 
 /// A small dataflow IR over a built Topology: nodes for components, edges
-/// for subscriptions, annotated with grouping / delivery / shard facts.
+/// for subscriptions, annotated with grouping / shard facts.
 /// The fusion pass (DESIGN.md §13) rewrites every edge whose consumer
 /// tasks each have exactly one producer task from kQueued to kFused; the
 /// engine then delivers over that edge by running the consumer inline on

@@ -55,10 +55,11 @@ namespace streamlib::platform {
 /// Epoch checkpointing (DESIGN.md §12) is outside this contract entirely:
 /// recording requires epoch_interval_tuples == 0 and resume_from_epoch ==
 /// 0 (EngineConfig::Validate rejects the combination). SLFR captures
-/// neither barrier alignment timing (hold timers, force-advance) nor the
-/// restored spout state a resumed run's first emission depends on — replay
-/// a *fresh* run, or use the epoch determinism guarantees of
-/// exactly_once_test.cc instead.
+/// neither fan-in barrier alignment timing (hold timers, force-advance)
+/// nor the restored spout state a resumed run's first emission depends on;
+/// a fused edge is no obstacle, as barriers cross it inline. Replay a
+/// *fresh* run, or use the epoch determinism guarantees of
+/// exactly_once_test.cc (fused and queued) instead.
 
 /// A pause condition for replayed execution.
 struct Breakpoint {

@@ -19,6 +19,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -89,7 +90,8 @@ TEST(ExactlyOnceConfigTest, AlignTimeoutMustBePositiveAndFinite) {
   config.epoch_interval_tuples = 32;
   ASSERT_TRUE(config.Validate().ok());
 
-  for (const double bad : {0.0, -0.5, std::nan("")}) {
+  // 1e300 s overflows the uint64_t nanosecond count the aligner keeps.
+  for (const double bad : {0.0, -0.5, std::nan(""), 1e300}) {
     config.epoch_align_timeout_seconds = bad;
     Status status = config.Validate();
     ASSERT_FALSE(status.ok());
@@ -792,7 +794,10 @@ class EpochCountBolt : public Bolt {
 /// src -> relay x2 (shuffle) -> count x2 (fields): the chaos topology. The
 /// shuffle hop forces real multi-producer barrier alignment at each count
 /// task; fields grouping keeps every payload on a stable count task so the
-/// per-task ledgers see all redeliveries of their own payloads.
+/// per-task ledgers see all redeliveries of their own payloads. With
+/// fusion on, both relay tasks run inline on the spout thread and take
+/// their barriers inline; with it off, each relay task aligns through its
+/// own queue.
 Topology BuildCountTopology(int64_t limit, int64_t halt,
                             std::shared_ptr<CountHolder> holder) {
   TopologyBuilder builder;
@@ -816,8 +821,9 @@ Topology BuildCountTopology(int64_t limit, int64_t halt,
 }
 
 EngineConfig MakeExactlyOnceConfig(KvCheckpointStore* store, uint64_t resume,
-                                   const FaultSpec& faults) {
+                                   const FaultSpec& faults, bool fuse) {
   EngineConfig config;
+  config.enable_fusion = fuse;
   config.semantics = DeliverySemantics::kExactlyOnce;
   config.checkpoint_store = store;
   config.epoch_interval_tuples = 32;
@@ -833,10 +839,12 @@ EngineConfig MakeExactlyOnceConfig(KvCheckpointStore* store, uint64_t resume,
 /// last complete epoch under `phase2` faults and let it finish the stream.
 /// Every payload must be counted exactly once — zero loss (every sequence
 /// present) and zero duplication (no count above one), regardless of which
-/// fault mix ran.
-void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
-                            FaultSpec phase2) {
-  SCOPED_TRACE(name);
+/// fault mix ran. `fuse1` and `fuse2` set each phase's enable_fusion: frame
+/// keys do not depend on the channel, so a resume may switch it.
+void RunCrashResume(const std::string& name, FaultSpec phase1,
+                    FaultSpec phase2, bool fuse1, bool fuse2) {
+  SCOPED_TRACE(name + (fuse1 ? " fused" : " queued") +
+               (fuse2 ? " -> fused" : " -> queued"));
   constexpr int64_t kN = 280;
   constexpr int64_t kHalt = 150;
   KvCheckpointStore store;
@@ -844,8 +852,9 @@ void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
   {
     auto torn = std::make_shared<CountHolder>();
     TopologyEngine engine(BuildCountTopology(kN, kHalt, torn),
-                          MakeExactlyOnceConfig(&store, 0, phase1));
+                          MakeExactlyOnceConfig(&store, 0, phase1, fuse1));
     engine.Run();
+    EXPECT_EQ(engine.fused_edges(), fuse1 ? 1u : 0u);
     if (phase1.Enabled()) {
       EXPECT_GT(engine.fault_plan()->total_injected(), 0u);
     }
@@ -856,7 +865,7 @@ void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
   const uint64_t resume = LastCompleteEpoch(store);
   auto counts = std::make_shared<CountHolder>();
   TopologyEngine engine(BuildCountTopology(kN, /*halt=*/-1, counts),
-                        MakeExactlyOnceConfig(&store, resume, phase2));
+                        MakeExactlyOnceConfig(&store, resume, phase2, fuse2));
   engine.Run();
   EXPECT_GE(engine.last_complete_epoch(), resume);
 
@@ -867,6 +876,15 @@ void RunCrashResumeScenario(const std::string& name, FaultSpec phase1,
     auto it = counts->counts.find(i);
     ASSERT_NE(it, counts->counts.end()) << "payload " << i << " lost";
     EXPECT_EQ(it->second, 1u) << "payload " << i << " double-counted";
+  }
+}
+
+/// Every chaos scenario runs fused and queued: fused, barriers cross the
+/// src -> relay edge inline; queued, the relay hop keeps its aligner path.
+void RunCrashResumeScenario(const std::string& name, const FaultSpec& phase1,
+                            const FaultSpec& phase2) {
+  for (const bool fuse : {true, false}) {
+    RunCrashResume(name, phase1, phase2, fuse, fuse);
   }
 }
 
@@ -955,6 +973,21 @@ TEST(ExactlyOnceChaosTest, SurvivesEverythingAtOnce) {
   RunCrashResumeScenario("everything", phase1, phase2);
 }
 
+TEST(ExactlyOnceChaosTest, ResumesAcrossFusionSwitch) {
+  // Frames written by a queued run resume in a fused one, and the reverse:
+  // no frame key or byte layout depends on how an edge was realized.
+  RunCrashResume("switch", FaultSpec{}, FaultSpec{}, false, true);
+  RunCrashResume("switch", FaultSpec{}, FaultSpec{}, true, false);
+  FaultSpec faults;
+  faults.seed = TestSeed() ^ 0xe00a;
+  faults.drop_tuple_prob = 0.02;
+  faults.duplicate_tuple_prob = 0.02;
+  RunCrashResume("switch under drops and duplicates", faults, faults, false,
+                 true);
+  RunCrashResume("switch under drops and duplicates", faults, faults, true,
+                 false);
+}
+
 // ------------------------------------------------ barrier exactness
 
 TEST(BarrierExactnessTest, EpochFramesHoldExactEmissionPrefixes) {
@@ -1034,8 +1067,11 @@ struct EpochFingerprint {
 /// fault site's consultation order schedule-free and the chain hold-free
 /// (a single-producer aligner never waits), so the whole epoch history —
 /// which epochs completed and every frame's exact bytes — must be a pure
-/// function of the seeds.
-EpochFingerprint RunDeterminismChain(uint64_t fault_seed) {
+/// function of the seeds. `fuse` runs both edges inline (barriers cross
+/// them like tuples) or through queues; every fault site that can change a
+/// frame draws in the same order either way. Queue stalls exist only on
+/// the queued channel, but a stall only sleeps, so it changes no frame.
+EpochFingerprint RunDeterminismChain(uint64_t fault_seed, bool fuse) {
   static constexpr int64_t kN = 300;
   constexpr uint64_t kInterval = 32;
   KvCheckpointStore store;
@@ -1066,7 +1102,8 @@ EpochFingerprint RunDeterminismChain(uint64_t fault_seed) {
   config.semantics = DeliverySemantics::kAtMostOnce;
   config.checkpoint_store = &store;
   config.epoch_interval_tuples = kInterval;
-  config.telemetry_sample_interval_ms = 0;  // 100 runs: shed the sampler.
+  config.enable_fusion = fuse;
+  config.telemetry_sample_interval_ms = 0;  // 200 runs: shed the sampler.
   config.faults.seed = fault_seed;
   config.faults.drop_tuple_prob = 0.03;
   config.faults.duplicate_tuple_prob = 0.03;
@@ -1080,6 +1117,7 @@ EpochFingerprint RunDeterminismChain(uint64_t fault_seed) {
   config.faults.barrier_delay_max_micros = 80;
   TopologyEngine engine(builder.Build().value(), config);
   engine.Run();
+  EXPECT_EQ(engine.fused_edges(), fuse ? 2u : 0u);
 
   EpochFingerprint fp;
   fp.last_complete = LastCompleteEpoch(store);
@@ -1097,15 +1135,25 @@ EpochFingerprint RunDeterminismChain(uint64_t fault_seed) {
 }
 
 TEST(EpochDeterminismTortureTest, FiftySeedsProduceBitIdenticalFrames) {
+  // Same seed => byte-identical frames and completion markers, run twice
+  // fused and twice queued.
   size_t runs_with_complete_epochs = 0;
   for (uint64_t i = 0; i < 50; i++) {
     const uint64_t seed = TestSeed() ^ (0xde7e'0000ULL + i * 0x9e37ULL);
-    const EpochFingerprint a = RunDeterminismChain(seed);
-    const EpochFingerprint b = RunDeterminismChain(seed);
-    EXPECT_EQ(a.last_complete, b.last_complete) << "seed " << seed;
-    EXPECT_TRUE(a.frames == b.frames)
-        << "seed " << seed << ": " << a.frames.size() << " vs "
-        << b.frames.size() << " frames, or differing bytes";
+    const EpochFingerprint a = RunDeterminismChain(seed, /*fuse=*/true);
+    const EpochFingerprint b = RunDeterminismChain(seed, /*fuse=*/true);
+    const EpochFingerprint c = RunDeterminismChain(seed, /*fuse=*/false);
+    const EpochFingerprint d = RunDeterminismChain(seed, /*fuse=*/false);
+    // Within each channel, then across the two.
+    for (const auto& [x, y, what] :
+         {std::tuple(&a, &b, "fused"), std::tuple(&c, &d, "queued"),
+          std::tuple(&a, &c, "fused vs queued")}) {
+      EXPECT_EQ(x->last_complete, y->last_complete)
+          << what << ", seed " << seed;
+      EXPECT_TRUE(x->frames == y->frames)
+          << what << ", seed " << seed << ": " << x->frames.size() << " vs "
+          << y->frames.size() << " frames, or differing bytes";
+    }
     ASSERT_FALSE(a.frames.empty()) << "seed " << seed;
     if (a.last_complete > 0) runs_with_complete_epochs++;
   }

@@ -53,6 +53,9 @@ TEST(EngineConfigValidationTest, RejectsNonPositiveAckTimeout) {
     EXPECT_FALSE(config.Validate().ok());
     config.ack_timeout_seconds = std::nan("");
     EXPECT_FALSE(config.Validate().ok());
+    // Its nanosecond count would overflow the acker's uint64_t.
+    config.ack_timeout_seconds = 1e300;
+    EXPECT_FALSE(config.Validate().ok());
     config.ack_timeout_seconds = 5.0;
     EXPECT_TRUE(config.Validate().ok());
   }

@@ -281,18 +281,25 @@ TEST(FusionLegalityTest, MultiplexedModeRefuses) {
             std::string::npos);
 }
 
-TEST(FusionLegalityTest, EpochBarrierEdgesRefuse) {
+// Epochs veto nothing: a fused follower has one producer task, so a
+// barrier crosses its edge like a tuple and its arrival is the whole
+// alignment (DESIGN.md §12). An exactly-once run fuses every
+// single-producer edge and still completes every epoch.
+TEST(FusionLegalityTest, EpochBarrierEdgesFuse) {
   TupleSink sink;
-  FusionOptions options = FusionOn();
-  options.epochs_enabled = true;
-  TopologyPlan plan = PlanFor(ThreeStageChain(&sink, 1), options);
-  EXPECT_EQ(plan.fused_edge_count(), 0u);
-  const PlanEdge& edge = EdgeBetween(plan, "src", "map");
-  EXPECT_NE(edge.veto.find("barrier"), std::string::npos);
-  EXPECT_TRUE(edge.barriered);
-  const Status status = TopologyPlan::FusionLegality(
-      plan.nodes()[edge.from], plan.nodes()[edge.to], edge, options);
-  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  KvCheckpointStore store;
+  EngineConfig config;
+  config.semantics = DeliverySemantics::kExactlyOnce;
+  config.checkpoint_store = &store;
+  config.epoch_interval_tuples = 25;
+  config.telemetry_sample_interval_ms = 0;
+  TopologyEngine engine(ThreeStageChain(&sink, 100), config);
+  engine.Run();
+  EXPECT_EQ(engine.fused_edges(), 2u);
+  EXPECT_EQ(engine.epochs_completed(), 4u);
+  EXPECT_EQ(engine.last_complete_epoch(), 4u);
+  EXPECT_EQ(engine.epoch_timeouts(), 0u);
+  EXPECT_EQ(sink.Size(), 100u);
 }
 
 // A recorder attached to the run vetoes nothing: replay drives the same

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -561,6 +562,53 @@ TEST(TopologyEngineTest, FusedBatchPathAcksAtLeastOnce) {
   // Every root must complete through the fused path's batched ack.
   EXPECT_EQ(engine.completed_roots(), n);
   EXPECT_EQ(engine.failed_roots(), 0u);
+}
+
+TEST(TopologyEngineTest, FinishPassBoltExceptionFailsOnlyItsTuple) {
+  // numbers -> count (emits its totals in Finish) -> picky -> sink: picky
+  // throws on one key during the Finish pass. As on the run-phase hop, the
+  // throw fails that tuple and lands in bolt_exceptions; Run() returns
+  // normally and the other totals still reach the sink.
+  TupleSink sink;
+  TopologyBuilder builder;
+  auto counter = std::make_shared<std::atomic<uint64_t>>(0);
+  builder.AddSpout("numbers", [counter]() -> std::unique_ptr<Spout> {
+    return std::make_unique<GeneratorSpout>(
+        [counter]() -> std::optional<Tuple> {
+          const uint64_t i = counter->fetch_add(1);
+          if (i >= 100) return std::nullopt;
+          return Tuple::Of("word" + std::to_string(i % 4));
+        });
+  });
+  builder.AddBolt(
+      "count", [] { return std::make_unique<CountingBolt>(); }, 1,
+      {{"numbers", Grouping::Global()}});
+  builder.AddBolt(
+      "picky",
+      []() -> std::unique_ptr<Bolt> {
+        return std::make_unique<FunctionBolt>(
+            [](const Tuple& in, OutputCollector* out) {
+              if (in.Str(0) == "word2") throw std::runtime_error("boom");
+              out->Emit(Tuple(in));
+            });
+      },
+      1, {{"count", Grouping::Global()}});
+  builder.AddBolt(
+      "sink",
+      [&sink]() -> std::unique_ptr<Bolt> {
+        return std::make_unique<SinkBolt>(&sink);
+      },
+      1, {{"picky", Grouping::Global()}});
+  TopologyEngine engine(builder.Build().value(), EngineConfig{});
+  ASSERT_NO_THROW(engine.Run());
+
+  const ComponentAggregate picky = engine.metrics().ForComponent("picky");
+  EXPECT_EQ(picky.bolt_exceptions(), 1u);
+  EXPECT_EQ(picky.executed(), 3u);
+  std::map<std::string, int64_t> totals;
+  for (const Tuple& t : sink.Snapshot()) totals[t.Str(0)] = t.Int(1);
+  EXPECT_EQ(totals, (std::map<std::string, int64_t>{
+                        {"word0", 25}, {"word1", 25}, {"word3", 25}}));
 }
 
 // ----------------------------------------------------------- ReplayableLog
