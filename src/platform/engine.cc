@@ -346,9 +346,15 @@ class TopologyEngine::TaskCollector : public OutputCollector {
   void InitStaging() {
     slot_of_task_.assign(engine_->tasks_.size(), -1);
     for (const Edge& edge : engine_->outgoing_[task_->component_index]) {
+      // A paired edge feeds this task's own consumer task only; the
+      // others belong to the other producer tasks' threads.
+      if (edge.paired) {
+        targets_.push_back(edge.targets[task_->task_index]);
+        continue;
+      }
       for (Task* target : edge.targets) {
         // Fused followers run inline and bypass staging entirely; each has
-        // one input edge, so it is listed once.
+        // one producer task, so it is listed once.
         if (target->fused_head != nullptr) {
           targets_.push_back(target);
         } else if (slot_of_task_[target->global_index] < 0) {

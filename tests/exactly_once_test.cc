@@ -791,19 +791,44 @@ class EpochCountBolt : public Bolt {
   DedupLedger ledger_;
 };
 
-/// src -> relay x2 (shuffle) -> count x2 (fields): the chaos topology. The
-/// shuffle hop forces real multi-producer barrier alignment at each count
-/// task; fields grouping keeps every payload on a stable count task so the
-/// per-task ledgers see all redeliveries of their own payloads. With
-/// fusion on, both relay tasks run inline on the spout thread and take
-/// their barriers inline; with it off, each relay task aligns through its
-/// own queue.
+/// A ReplayableSequenceSpout whose task i of n emits payload seq * n + i,
+/// so parallel source tasks emit disjoint payloads covering [0, limit * n).
+class TaggedSequenceSpout : public ReplayableSequenceSpout {
+ public:
+  TaggedSequenceSpout(int64_t limit, int64_t halt)
+      : ReplayableSequenceSpout(
+            limit,
+            [this](int64_t seq) { return Tuple::Of(seq * tasks_ + task_); },
+            halt) {}
+
+  void Open(uint32_t task_index, uint32_t num_tasks) override {
+    task_ = task_index;
+    tasks_ = num_tasks;
+  }
+
+ private:
+  int64_t task_ = 0;
+  int64_t tasks_ = 1;
+};
+
+/// src x `src_tasks` -> relay x2 (shuffle) -> count x2 (fields): the chaos
+/// topology. The fields hop forces real multi-producer barrier alignment
+/// at each count task and keeps every payload on a stable count task, so
+/// the per-task ledgers see all redeliveries of their own payloads. With
+/// fusion on, the relay tasks run inline on the source thread that feeds
+/// them (both on the one source task, or relay task i on source task i of
+/// two, a paired shuffle) and take their barriers inline; with it off,
+/// each relay task aligns through its own queue.
 Topology BuildCountTopology(int64_t limit, int64_t halt,
-                            std::shared_ptr<CountHolder> holder) {
+                            std::shared_ptr<CountHolder> holder,
+                            uint32_t src_tasks = 1) {
   TopologyBuilder builder;
-  builder.AddSpout("src", [limit, halt]() -> std::unique_ptr<Spout> {
-    return std::make_unique<ReplayableSequenceSpout>(limit, nullptr, halt);
-  });
+  builder.AddSpout(
+      "src",
+      [limit, halt]() -> std::unique_ptr<Spout> {
+        return std::make_unique<TaggedSequenceSpout>(limit, halt);
+      },
+      src_tasks);
   builder.AddBolt(
       "relay",
       []() -> std::unique_ptr<Bolt> {
@@ -842,16 +867,19 @@ EngineConfig MakeExactlyOnceConfig(KvCheckpointStore* store, uint64_t resume,
 /// fault mix ran. `fuse1` and `fuse2` set each phase's enable_fusion: frame
 /// keys do not depend on the channel, so a resume may switch it.
 void RunCrashResume(const std::string& name, FaultSpec phase1,
-                    FaultSpec phase2, bool fuse1, bool fuse2) {
+                    FaultSpec phase2, bool fuse1, bool fuse2,
+                    uint32_t src_tasks = 1) {
   SCOPED_TRACE(name + (fuse1 ? " fused" : " queued") +
-               (fuse2 ? " -> fused" : " -> queued"));
+               (fuse2 ? " -> fused" : " -> queued") + ", " +
+               std::to_string(src_tasks) + " source task(s)");
   constexpr int64_t kN = 280;
   constexpr int64_t kHalt = 150;
+  const int64_t payloads = kN * src_tasks;
   KvCheckpointStore store;
 
   {
     auto torn = std::make_shared<CountHolder>();
-    TopologyEngine engine(BuildCountTopology(kN, kHalt, torn),
+    TopologyEngine engine(BuildCountTopology(kN, kHalt, torn, src_tasks),
                           MakeExactlyOnceConfig(&store, 0, phase1, fuse1));
     engine.Run();
     EXPECT_EQ(engine.fused_edges(), fuse1 ? 1u : 0u);
@@ -864,15 +892,16 @@ void RunCrashResume(const std::string& name, FaultSpec phase1,
 
   const uint64_t resume = LastCompleteEpoch(store);
   auto counts = std::make_shared<CountHolder>();
-  TopologyEngine engine(BuildCountTopology(kN, /*halt=*/-1, counts),
-                        MakeExactlyOnceConfig(&store, resume, phase2, fuse2));
+  TopologyEngine engine(
+      BuildCountTopology(kN, /*halt=*/-1, counts, src_tasks),
+      MakeExactlyOnceConfig(&store, resume, phase2, fuse2));
   engine.Run();
   EXPECT_GE(engine.last_complete_epoch(), resume);
 
   std::lock_guard<std::mutex> lock(counts->mu);
-  ASSERT_EQ(counts->counts.size(), static_cast<size_t>(kN))
-      << "lost " << (kN - counts->counts.size()) << " payloads";
-  for (int64_t i = 0; i < kN; i++) {
+  ASSERT_EQ(counts->counts.size(), static_cast<size_t>(payloads))
+      << "lost " << (payloads - counts->counts.size()) << " payloads";
+  for (int64_t i = 0; i < payloads; i++) {
     auto it = counts->counts.find(i);
     ASSERT_NE(it, counts->counts.end()) << "payload " << i << " lost";
     EXPECT_EQ(it->second, 1u) << "payload " << i << " double-counted";
@@ -988,6 +1017,28 @@ TEST(ExactlyOnceChaosTest, ResumesAcrossFusionSwitch) {
                  false);
 }
 
+TEST(ExactlyOnceChaosTest, TwoSourcesPairWithTheirRelays) {
+  // src x2 -> relay x2 is a paired shuffle. Fused, relay task i runs on
+  // source task i's thread and takes that task's barriers only: a barrier
+  // of source task 0 must never cut relay task 1, which source task 1's
+  // thread is executing. Queued, each relay task aligns both sources.
+  FaultSpec faults;
+  faults.seed = TestSeed() ^ 0xe00b;
+  faults.drop_tuple_prob = 0.01;
+  faults.duplicate_tuple_prob = 0.01;
+  faults.barrier_drop_prob = 0.1;
+  faults.barrier_delay_prob = 0.1;
+  faults.barrier_delay_max_micros = 120;
+  for (const bool fuse : {true, false}) {
+    RunCrashResume("two sources", FaultSpec{}, FaultSpec{}, fuse, fuse, 2);
+    RunCrashResume("two sources under faults", faults, faults, fuse, fuse, 2);
+  }
+  RunCrashResume("two sources switch", FaultSpec{}, FaultSpec{}, false, true,
+                 2);
+  RunCrashResume("two sources switch", FaultSpec{}, FaultSpec{}, true, false,
+                 2);
+}
+
 // ------------------------------------------------ barrier exactness
 
 TEST(BarrierExactnessTest, EpochFramesHoldExactEmissionPrefixes) {
@@ -1047,6 +1098,67 @@ TEST(BarrierExactnessTest, EpochFramesHoldExactEmissionPrefixes) {
 
   std::lock_guard<std::mutex> lock(holder->mu);
   EXPECT_EQ(holder->counts.size(), static_cast<size_t>(kN));
+}
+
+TEST(BarrierExactnessTest, PairedShuffleCutsEachSourceAtItsOwnBarrier) {
+  // src x2 -> count x2 (shuffle). Fused, the edge pairs source task i with
+  // count task i; queued, each count task aligns both sources. Per-task
+  // frames differ between the channels (a queued shuffle routes at
+  // random), but in both, epoch e's count frames together must hold
+  // exactly the first e*K payloads of each source task: [0, 2eK) under
+  // the tagged payloads. So the merged cut is the same on both channels.
+  static constexpr int64_t kN = 100;
+  constexpr uint64_t kInterval = 25;
+  for (const bool fuse : {true, false}) {
+    SCOPED_TRACE(fuse ? "fused" : "queued");
+    KvCheckpointStore store;
+    auto holder = std::make_shared<CountHolder>();
+
+    TopologyBuilder builder;
+    builder.AddSpout(
+        "src",
+        []() -> std::unique_ptr<Spout> {
+          return std::make_unique<TaggedSequenceSpout>(kN, /*halt=*/-1);
+        },
+        2);
+    builder.AddBolt(
+        "count",
+        [holder]() -> std::unique_ptr<Bolt> {
+          return std::make_unique<EpochCountBolt>(holder, /*dedup=*/true);
+        },
+        2, {{"src", Grouping::Shuffle()}});
+
+    EngineConfig config;
+    config.enable_fusion = fuse;
+    config.semantics = DeliverySemantics::kExactlyOnce;
+    config.checkpoint_store = &store;
+    config.epoch_interval_tuples = kInterval;
+    TopologyEngine engine(builder.Build().value(), config);
+    engine.Run();
+
+    EXPECT_EQ(engine.fused_edges(), fuse ? 1u : 0u);
+    EXPECT_EQ(engine.epochs_completed(), 4u);
+    EXPECT_EQ(engine.epoch_timeouts(), 0u);
+    for (uint64_t e = 1; e <= 4; e++) {
+      std::map<int64_t, uint64_t> merged;
+      for (uint32_t task = 0; task < 2; task++) {
+        std::optional<std::vector<uint8_t>> frame =
+            store.Get(EpochTaskKey(e, "count", task));
+        ASSERT_TRUE(frame.has_value()) << "epoch " << e << " task " << task;
+        std::map<int64_t, uint64_t> counts;
+        DedupLedger ledger;
+        ASSERT_TRUE(EpochCountBolt::Decode(*frame, &counts, &ledger).ok());
+        for (const auto& [seq, count] : counts) merged[seq] += count;
+      }
+      ASSERT_EQ(merged.size(), 2 * e * kInterval) << "epoch " << e;
+      for (uint64_t i = 0; i < 2 * e * kInterval; i++) {
+        EXPECT_EQ(merged[static_cast<int64_t>(i)], 1u)
+            << "epoch " << e << " payload " << i;
+      }
+    }
+    std::lock_guard<std::mutex> lock(holder->mu);
+    EXPECT_EQ(holder->counts.size(), static_cast<size_t>(2 * kN));
+  }
 }
 
 // ---------------------------------------- 50-seed determinism torture
